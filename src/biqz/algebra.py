@@ -29,8 +29,9 @@ import math
 
 from .errors import ZeroDivisorError
 
-# inverse() refuses arguments whose complex norm is this small relative to
-# max(1, real_norm**2); keeps near-zero-divisor garbage out of divisions
+# is_invertible() / inverse() refuse arguments whose |complex norm| is at most
+# this fraction of component_norm()**2: scale-free, so 1e-150 and 1e150
+# invert alike while near-zero-divisor garbage stays out of divisions
 INVERTIBILITY_TOL = 1e-12
 
 # |vec_abs| below this selects the degenerate branch of exp / cos / sin
@@ -203,13 +204,13 @@ class Biquaternion:
         return self.real_norm()
 
     def is_invertible(self) -> bool:
-        cns = abs(self.complex_norm_sq())
-        return cns >= INVERTIBILITY_TOL * max(1.0, cns)
+        """|q * conj(q)| > INVERTIBILITY_TOL * component_norm()**2; false for 0."""
+        return abs(self.complex_norm_sq()) > INVERTIBILITY_TOL * self.component_norm() ** 2
 
     def inverse(self) -> "Biquaternion":
-        """conj(q) / (q * conj(q)); raises ZeroDivisorError when that vanishes."""
+        """conj(q) / (q * conj(q)); raises ZeroDivisorError unless is_invertible()."""
         cns = self.complex_norm_sq()
-        if abs(cns) < INVERTIBILITY_TOL * max(1.0, abs(cns)):
+        if not self.is_invertible():
             raise ZeroDivisorError(
                 f"complex norm {cns!r} is numerically zero; no inverse exists"
             )
@@ -268,6 +269,19 @@ def isclose(p, q, rel_tol: float = 1e-9, abs_tol: float = 0.0) -> bool:
     gap = (a - b).component_norm()
     scale = max(a.component_norm(), b.component_norm())
     return gap <= max(rel_tol * scale, abs_tol)
+
+
+def root_magnitudes(q) -> tuple[float, float]:
+    """(larger, smaller) magnitude of the two scalar roots q0 +- sqrt(q0**2 - cns).
+
+    Every biquaternion satisfies q**2 = 2*q0*q - cns, so its powers grow
+    componentwise like the larger root and its inverse powers like the
+    reciprocal of the smaller; the real gauge only sees their geometric mean.
+    """
+    q = as_biquaternion(q)
+    s = cmath.sqrt(q.w * q.w - q.complex_norm_sq())
+    a, b = abs(q.w + s), abs(q.w - s)
+    return max(a, b), min(a, b)
 
 
 def _sgn_and_abs(q: Biquaternion) -> tuple[Biquaternion, complex]:

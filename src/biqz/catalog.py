@@ -30,11 +30,14 @@ degenerate forms
 
 apply, with cos(q), sin(q) the degenerate-branch values at n = 1.
 
-Convergence radii of parameterized entries are estimated from the growth of
-the sequence itself rather than from the real gauge of the parameter: the
-real gauge understates growth whenever the parameter sits near the
-zero-divisor variety (powers of 1 + 1Ik double componentwise although the
-parameter's real gauge is 0).
+Convergence radii are exact and computed once per entry from the scalar roots
+q0 +- sqrt(q0**2 - cns) of the ratio (every biquaternion satisfies
+q**2 = 2*q0*q - cns, so its powers grow componentwise like the larger root
+magnitude).  Geometric and binomial rows take the larger root of their
+parameter, cos/sin the larger root of exp(+-s*q), and exp_over_fact is
+entire.  The real gauge of the parameter would understate growth near the
+zero-divisor variety: powers of 1 + 1Ik double componentwise although its
+real gauge is 0.
 """
 from __future__ import annotations
 
@@ -49,6 +52,7 @@ from .algebra import (
     as_biquaternion,
     cos_seq_term,
     exp,
+    root_magnitudes,
     sin_seq_term,
 )
 from .errors import OutsideROCError
@@ -75,23 +79,6 @@ class CatalogEntry:
 
     def __repr__(self):
         return f"CatalogEntry({self.name}, params={self.params}, roc_radius={self.roc_radius})"
-
-
-def _growth_radius(seq: Sequence, n_max: int = 64) -> float:
-    """Componentwise growth-rate estimate, tolerant of fast-growing terms."""
-    surveyed = []
-    for n in range(1, n_max + 1):
-        try:
-            size = seq.term(n).component_norm()
-        except (OverflowError, ValueError):
-            break
-        surveyed.append((n, size))
-        if size > 1e80:
-            break
-    if not surveyed:
-        return 0.0
-    top = surveyed[len(surveyed) // 2:]
-    return max((s ** (1.0 / n) for n, s in top if s > 0.0), default=0.0)
 
 
 def const_one() -> CatalogEntry:
@@ -123,9 +110,8 @@ def ramp_n2() -> CatalogEntry:
 
 def pow_p(p) -> CatalogEntry:
     p = as_biquaternion(p)
-    seq = Sequence(lambda n: p**n, name="pow_p")
-    radius = _growth_radius(seq)
-    seq.radius_hint = radius
+    radius = root_magnitudes(p)[0]
+    seq = Sequence(lambda n: p**n, radius_hint=radius, name="pow_p")
 
     def ev(x):
         return (ONE - p * x.inverse()).inverse()
@@ -135,9 +121,8 @@ def pow_p(p) -> CatalogEntry:
 
 def n_pow_p(p, as_printed: bool = False) -> CatalogEntry:
     p = as_biquaternion(p)
-    seq = Sequence(lambda n: (p**n) * n, name="n_pow_p")
-    radius = _growth_radius(seq)
-    seq.radius_hint = radius
+    radius = root_magnitudes(p)[0]
+    seq = Sequence(lambda n: (p**n) * n, radius_hint=radius, name="n_pow_p")
 
     def ev(x):
         x_inv = x.inverse()
@@ -150,10 +135,11 @@ def n_pow_p(p, as_printed: bool = False) -> CatalogEntry:
 
 def _trig_entry(name: str, q, term_fn, eval_nondegenerate, eval_degenerate) -> CatalogEntry:
     q = as_biquaternion(q)
-    seq = Sequence(lambda n: term_fn(q, n), name=name)
-    radius = _growth_radius(seq)
-    seq.radius_hint = radius
-    degenerate = abs(q.vec_abs()) < DEGENERATE_VEC_TOL
+    va = q.vec_abs()
+    degenerate = abs(va) < DEGENERATE_VEC_TOL
+    # s = v/vec_abs commutes with q, eigenvalues +-I: exp(+-s*q) has exp(+-(+-I*q0 - vec_abs))
+    radius = math.exp(abs(va.real) + abs(q.w.imag))
+    seq = Sequence(lambda n: term_fn(q, n), radius_hint=radius, name=name)
 
     def ev(x):
         return eval_degenerate(q, x) if degenerate else eval_nondegenerate(q, x)
@@ -204,9 +190,8 @@ def binom_shifted(m: int, q) -> CatalogEntry:
     if not isinstance(m, int) or m < 0:
         raise ValueError("m must be a nonnegative integer")
     q = as_biquaternion(q)
-    seq = Sequence(lambda n: (q**n) * math.comb(n + m, m), name="binom_shifted")
-    radius = _growth_radius(seq)
-    seq.radius_hint = radius
+    radius = root_magnitudes(q)[0]
+    seq = Sequence(lambda n: (q**n) * math.comb(n + m, m), radius_hint=radius, name="binom_shifted")
 
     def ev(x):
         x_inv = x.inverse()
@@ -220,9 +205,8 @@ def binom(m: int, q) -> CatalogEntry:
         raise ValueError("m must be a nonnegative integer")
     q = as_biquaternion(q)
     q_inv = q.inverse()  # required by the closed form
-    seq = Sequence(lambda n: (q**n) * math.comb(n, m), name="binom")
-    radius = _growth_radius(seq)
-    seq.radius_hint = radius
+    radius = root_magnitudes(q)[0]
+    seq = Sequence(lambda n: (q**n) * math.comb(n, m), radius_hint=radius, name="binom")
 
     def ev(x):
         x_inv = x.inverse()
@@ -241,14 +225,13 @@ def exp_over_fact(q) -> CatalogEntry:
             terms.append(terms[m - 1] * (q / m))
         return terms[n]
 
-    seq = Sequence(term, name="exp_over_fact")
-    radius = _growth_radius(seq)
-    seq.radius_hint = radius
+    # the series is entire
+    seq = Sequence(term, radius_hint=0.0, name="exp_over_fact")
 
     def ev(x):
         return exp(q * x.inverse())
 
-    return CatalogEntry("exp_over_fact", {"q": q}, radius, seq, ev)
+    return CatalogEntry("exp_over_fact", {"q": q}, 0.0, seq, ev)
 
 
 # stable names addressable from the CLI and from JSON recurrence specs

@@ -18,7 +18,6 @@ are byte-stable for identical invocations (including --seed).
 from __future__ import annotations
 
 import argparse
-import cmath
 import json
 import math
 import random
@@ -27,7 +26,7 @@ from importlib import resources
 from pathlib import Path
 
 from . import __version__, catalog
-from .algebra import Biquaternion, ZERO
+from .algebra import ZERO, Biquaternion, root_magnitudes
 from .errors import BiqzError, LiteralParseError, ZeroDivisorError
 from .parsing import format_literal, parse
 from .recurrence import (
@@ -56,6 +55,20 @@ def _error_name(exc: Exception) -> str:
     return type(exc).__name__.removesuffix("Error")
 
 
+def _report(command, inputs, tolerances, results, ok, summary, errors=()) -> dict:
+    return {
+        "tool": "biqz",
+        "version": __version__,
+        "command": command,
+        "inputs": inputs,
+        "tolerances": tolerances,
+        "results": results,
+        "errors": list(errors),
+        "pass": ok,
+        "summary": summary,
+    }
+
+
 def _emit(report: dict, as_json: bool) -> None:
     if as_json:
         print(json.dumps(report, indent=2, sort_keys=True))
@@ -68,18 +81,6 @@ def _emit(report: dict, as_json: bool) -> None:
 
 
 # -- seeded draws for verify-catalog ------------------------------------------
-
-
-def _root_magnitudes(q: Biquaternion) -> tuple[float, float]:
-    """(larger, smaller) magnitude of the two scalar roots q0 +- sqrt(q0**2 - cns).
-
-    Every biquaternion satisfies q**2 = 2*q0*q - cns, so its powers grow
-    componentwise like the larger root and its inverse powers like the
-    reciprocal of the smaller; the real gauge only sees their geometric mean.
-    """
-    s = cmath.sqrt(q.w * q.w - q.complex_norm_sq())
-    a, b = abs(q.w + s), abs(q.w - s)
-    return max(a, b), min(a, b)
 
 
 def _draw_conditioned(rng: random.Random) -> Biquaternion:
@@ -101,7 +102,7 @@ def _draw_conditioned(rng: random.Random) -> Biquaternion:
             continue
         if abs(q.complex_norm_sq()) < 0.05 * size_sq:
             continue
-        big, small = _root_magnitudes(q)
+        big, small = root_magnitudes(q)
         if small == 0.0 or big / small > 3.0:
             continue
         return q
@@ -116,7 +117,7 @@ def _draw_point(rng: random.Random, entry: catalog.CatalogEntry, biquat_ok: bool
         # inverse powers x**-n shrink componentwise at exactly that rate,
         # while the real gauge only fixes the geometric mean of the roots
         x = _draw_conditioned(rng)
-        return x * (radius / _root_magnitudes(x)[1])
+        return x * (radius / root_magnitudes(x)[1])
     theta = rng.uniform(0.0, 2.0 * math.pi)
     return complex(radius * math.cos(theta), radius * math.sin(theta))
 
@@ -151,19 +152,6 @@ def cmd_eval(args) -> tuple[dict, int]:
         if not sep:
             raise LiteralParseError(f"--param expects key=value, got {item!r}")
         params[key] = value
-    report = {
-        "tool": "biqz",
-        "version": __version__,
-        "command": "eval",
-        "inputs": {
-            "name": args.name,
-            "params": params,
-            "at": args.at,
-            "as_printed": args.as_printed,
-        },
-        "tolerances": {"eps": args.eps, "tol": args.tol, "max_terms": args.max_terms},
-        "errors": [],
-    }
     entry = catalog.build(args.name, params, as_printed=args.as_printed)
     x = parse(args.at)
     series = transform(entry.sequence, x, eps=args.eps, max_terms=args.max_terms)
@@ -171,20 +159,25 @@ def cmd_eval(args) -> tuple[dict, int]:
     deviation = (series.value - closed).component_norm()
     budget = series.tail_bound + args.tol
     ok = deviation <= budget
-    report["results"] = {
-        "series_value": _value_json(series.value),
-        "terms_used": series.terms_used,
-        "tail_bound": series.tail_bound,
-        "closed_form": _value_json(closed),
-        "deviation": deviation,
-        "budget": budget,
-    }
-    report["pass"] = ok
-    report["summary"] = [
-        f"series  {format_literal(series.value)} ({series.terms_used} terms, tail {series.tail_bound:.3e})",
-        f"closed  {format_literal(closed)}",
-        f"deviation {deviation:.3e} vs budget {budget:.3e}",
-    ]
+    report = _report(
+        "eval",
+        {"name": args.name, "params": params, "at": args.at, "as_printed": args.as_printed},
+        {"eps": args.eps, "tol": args.tol, "max_terms": args.max_terms},
+        {
+            "series_value": _value_json(series.value),
+            "terms_used": series.terms_used,
+            "tail_bound": series.tail_bound,
+            "closed_form": _value_json(closed),
+            "deviation": deviation,
+            "budget": budget,
+        },
+        ok,
+        [
+            f"series  {format_literal(series.value)} ({series.terms_used} terms, tail {series.tail_bound:.3e})",
+            f"closed  {format_literal(closed)}",
+            f"deviation {deviation:.3e} vs budget {budget:.3e}",
+        ],
+    )
     return report, 0 if ok else 1
 
 
@@ -224,25 +217,17 @@ def cmd_verify_catalog(args) -> tuple[dict, int]:
             }
         )
         all_ok = all_ok and ok
-    report = {
-        "tool": "biqz",
-        "version": __version__,
-        "command": "verify-catalog",
-        "inputs": {
-            "rows": rows,
-            "points": args.points,
-            "seed": args.seed,
-            "as_printed": args.as_printed,
-        },
-        "tolerances": {"eps": args.eps, "tol": args.tol, "max_terms": args.max_terms},
-        "results": {"rows": row_reports},
-        "errors": [],
-        "pass": all_ok,
-        "summary": [
+    report = _report(
+        "verify-catalog",
+        {"rows": rows, "points": args.points, "seed": args.seed, "as_printed": args.as_printed},
+        {"eps": args.eps, "tol": args.tol, "max_terms": args.max_terms},
+        {"rows": row_reports},
+        all_ok,
+        [
             f"{r['row']}: {'PASS' if r['pass'] else 'FAIL'} (max deviation {r['max_deviation']:.3e})"
             for r in row_reports
         ],
-    }
+    )
     return report, 0 if all_ok else 1
 
 
@@ -361,21 +346,20 @@ def _run_deconvolve_payload(payload: dict, tol: float) -> tuple[dict, bool]:
 
 def cmd_recurrence(args) -> tuple[dict, int]:
     payload = json.loads(Path(args.spec).read_text(encoding="utf-8"))
+    if not isinstance(payload, dict):
+        raise ValueError(f"spec {args.spec} must be a JSON object, got {type(payload).__name__}")
     samples = args.x_samples.split(",") if args.x_samples else None
     results, ok = _run_recurrence_payload(
         payload, args.terms, args.tol, args.eps, args.max_terms, samples
     )
-    report = {
-        "tool": "biqz",
-        "version": __version__,
-        "command": "recurrence",
-        "inputs": {"spec": str(args.spec), "terms": args.terms, "x_samples": samples},
-        "tolerances": {"tol": args.tol, "eps": args.eps, "max_terms": args.max_terms},
-        "results": results,
-        "errors": [],
-        "pass": ok,
-        "summary": [f"spec {args.spec}: {'PASS' if ok else 'FAIL'}"],
-    }
+    report = _report(
+        "recurrence",
+        {"spec": str(args.spec), "terms": args.terms, "x_samples": samples},
+        {"tol": args.tol, "eps": args.eps, "max_terms": args.max_terms},
+        results,
+        ok,
+        [f"spec {args.spec}: {'PASS' if ok else 'FAIL'}"],
+    )
     return report, 0 if ok else 1
 
 
@@ -421,18 +405,15 @@ def cmd_paper_suite(args) -> tuple[dict, int]:
     detail, ok = _check_zero_divisor_powers()
     checks.append({"name": "zero_divisor_powers", "pass": ok, "results": detail})
     all_ok = all_ok and ok
-    report = {
-        "tool": "biqz",
-        "version": __version__,
-        "command": "paper-suite",
-        "inputs": {},
-        "tolerances": {"recurrence_tol": _DEFAULT_REC_TOL, "deconvolve_tol": 1e-10},
-        "results": {"checks": checks},
-        "errors": [],
-        "pass": all_ok,
-        "summary": [f"{c['name']}: {'PASS' if c['pass'] else 'FAIL'}" for c in checks]
+    report = _report(
+        "paper-suite",
+        {},
+        {"recurrence_tol": _DEFAULT_REC_TOL, "deconvolve_tol": 1e-10},
+        {"checks": checks},
+        all_ok,
+        [f"{c['name']}: {'PASS' if c['pass'] else 'FAIL'}" for c in checks]
         + [f"{sum(c['pass'] for c in checks)}/{len(checks)} checks passed"],
-    }
+    )
     return report, 0 if all_ok else 1
 
 
@@ -514,17 +495,8 @@ def main(argv=None) -> int:
 
 def _failure_report(args, exc: Exception) -> dict:
     message = str(exc.args[0]) if isinstance(exc, KeyError) and exc.args else str(exc)
-    return {
-        "tool": "biqz",
-        "version": __version__,
-        "command": args.command,
-        "inputs": {},
-        "tolerances": {},
-        "results": {},
-        "errors": [{"name": _error_name(exc), "message": message}],
-        "pass": False,
-        "summary": [],
-    }
+    return _report(args.command, {}, {}, {}, False, [],
+                   [{"name": _error_name(exc), "message": message}])
 
 
 if __name__ == "__main__":

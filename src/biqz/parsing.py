@@ -24,6 +24,8 @@ _UNITS = {"i": 1, "j": 2, "k": 3}
 
 def parse(text: str) -> Biquaternion:
     """Parse a literal into a Biquaternion; raises LiteralParseError."""
+    if not isinstance(text, str):
+        raise LiteralParseError(f"expected a literal string, got {type(text).__name__} {text!r}")
     s = "".join(text.split())
     if not s:
         raise LiteralParseError("empty biquaternion literal")

@@ -85,25 +85,25 @@ class LinearRecurrence:
         return self._solution
 
     def identity_gap(self, f: Sequence, n: int) -> tuple[float, float]:
-        """(real-gauge residual, scale) of the relation at base index n.
+        """(componentwise residual, scale) of the relation at base index n.
 
-        The scale is max(1, largest real gauge among the identity's terms),
-        so relative errors stay meaningful for geometrically growing
-        solutions.
+        The scale is max(1, largest component norm among the identity's
+        terms), so relative errors stay meaningful for geometrically growing
+        solutions, including zero-divisor pieces whose real gauge is 0.
         """
         lhs = ZERO
         scale = 1.0
         for m, coeff in enumerate(self.coeffs):
             piece = f.term(n + m) * coeff
-            scale = max(scale, piece.real_norm())
+            scale = max(scale, piece.component_norm())
             lhs = lhs + piece
         rhs = ZERO
         for ft in self.forcing:
             for k, coeff in enumerate(ft.coeffs):
                 piece = ft.sequence.term(n + k) * coeff
-                scale = max(scale, piece.real_norm())
+                scale = max(scale, piece.component_norm())
                 rhs = rhs + piece
-        return (lhs - rhs).real_norm(), scale
+        return (lhs - rhs).component_norm(), scale
 
 
 def iterate(rec: LinearRecurrence, n_terms: int) -> Sequence:
@@ -184,8 +184,9 @@ def verify_closed_form(
 ) -> VerificationReport:
     """Check a candidate against the initial values and the relation itself.
 
-    Failures are reported, never raised.  Relative errors are normalized by
-    max(1, the largest real gauge among the identity's terms).
+    Failures are reported, never raised.  Errors are componentwise, and
+    relative errors are normalized by max(1, the largest component norm among
+    the identity's terms, or of the initial value).
     """
     if n_terms <= rec.order:
         raise ValueError("n_terms must exceed the recurrence order")
@@ -195,8 +196,8 @@ def verify_closed_form(
     checked = 0
 
     for t in range(rec.order):
-        gap = (candidate.term(t) - rec.initial[t]).real_norm()
-        rel = gap / max(1.0, rec.initial[t].real_norm())
+        gap = (candidate.term(t) - rec.initial[t]).component_norm()
+        rel = gap / max(1.0, rec.initial[t].component_norm())
         max_abs = max(max_abs, gap)
         max_rel = max(max_rel, rel)
         if rel > tol and first_fail is None:
