@@ -210,7 +210,8 @@ class Biquaternion:
     def inverse(self) -> "Biquaternion":
         """conj(q) / (q * conj(q)); raises ZeroDivisorError unless is_invertible()."""
         cns = self.complex_norm_sq()
-        if not self.is_invertible():
+        # is_invertible()'s test, written out so that cns is computed only once
+        if not abs(cns) > INVERTIBILITY_TOL * self.component_norm() ** 2:
             raise ZeroDivisorError(
                 f"complex norm {cns!r} is numerically zero; no inverse exists"
             )

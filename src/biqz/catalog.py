@@ -30,6 +30,10 @@ degenerate forms
 
 apply, with cos(q), sin(q) the degenerate-branch values at n = 1.
 
+Terms built from powers (p**n, exp(+-s*q)**n, q**n / n!) are stepped from the
+previous index by one multiplication (``sequences.stepped``), so summing a
+series costs O(1) products per term.
+
 Convergence radii are exact and computed once per entry from the scalar roots
 q0 +- sqrt(q0**2 - cns) of the ratio (every biquaternion satisfies
 q**2 = 2*q0*q - cns, so its powers grow componentwise like the larger root
@@ -56,7 +60,7 @@ from .algebra import (
     sin_seq_term,
 )
 from .errors import OutsideROCError
-from .sequences import Sequence
+from .sequences import Sequence, stepped
 
 
 @dataclass(frozen=True, eq=False)
@@ -68,11 +72,12 @@ class CatalogEntry:
     _eval_fn: Callable[[Biquaternion], Biquaternion] = field(repr=False)
 
     def eval(self, x) -> Biquaternion:
-        """Closed-form transform value at x; requires real_norm(x) > roc_radius."""
+        """Closed-form transform value at x; requires root_magnitudes(x)[1] > roc_radius."""
         x = as_biquaternion(x)
-        if x.real_norm() <= self.roc_radius:
+        smaller = root_magnitudes(x)[1]
+        if smaller <= self.roc_radius:
             raise OutsideROCError(
-                f"{self.name}: point with real norm {x.real_norm()} is inside "
+                f"{self.name}: point with smaller root magnitude {smaller} is inside "
                 f"radius {self.roc_radius}"
             )
         return self._eval_fn(x)
@@ -111,7 +116,7 @@ def ramp_n2() -> CatalogEntry:
 def pow_p(p) -> CatalogEntry:
     p = as_biquaternion(p)
     radius = root_magnitudes(p)[0]
-    seq = Sequence(lambda n: p**n, radius_hint=radius, name="pow_p")
+    seq = Sequence(stepped(ONE, lambda _: p), radius_hint=radius, name="pow_p")
 
     def ev(x):
         return (ONE - p * x.inverse()).inverse()
@@ -122,7 +127,8 @@ def pow_p(p) -> CatalogEntry:
 def n_pow_p(p, as_printed: bool = False) -> CatalogEntry:
     p = as_biquaternion(p)
     radius = root_magnitudes(p)[0]
-    seq = Sequence(lambda n: (p**n) * n, radius_hint=radius, name="n_pow_p")
+    powers = stepped(ONE, lambda _: p)
+    seq = Sequence(lambda n: powers(n) * n, radius_hint=radius, name="n_pow_p")
 
     def ev(x):
         x_inv = x.inverse()
@@ -133,42 +139,32 @@ def n_pow_p(p, as_printed: bool = False) -> CatalogEntry:
     return CatalogEntry("n_pow_p", {"p": p, "as_printed": as_printed}, radius, seq, ev)
 
 
-def _trig_entry(name: str, q, term_fn, eval_nondegenerate, eval_degenerate) -> CatalogEntry:
+def _trig_entry(name: str, q, degenerate_term, degenerate_eval, combine) -> CatalogEntry:
+    # nondegenerate: combine(s, a, b) joins the parts with ratios exp(+-s*q),
+    # their n-th powers for the terms and their geometric sums for the closed form
     q = as_biquaternion(q)
     va = q.vec_abs()
-    degenerate = abs(va) < DEGENERATE_VEC_TOL
     # s = v/vec_abs commutes with q, eigenvalues +-I: exp(+-s*q) has exp(+-(+-I*q0 - vec_abs))
     radius = math.exp(abs(va.real) + abs(q.w.imag))
-    seq = Sequence(lambda n: term_fn(q, n), radius_hint=radius, name=name)
+    if abs(va) < DEGENERATE_VEC_TOL:
+        seq = Sequence(lambda n: degenerate_term(q, n), radius_hint=radius, name=name)
+        return CatalogEntry(name, {"q": q}, radius, seq, lambda x: degenerate_eval(q, x))
+    s = q.vector_part / va
+    e, f = exp(s * q), exp(-(s * q))
+    e_pow, f_pow = stepped(ONE, lambda _: e), stepped(ONE, lambda _: f)
+    seq = Sequence(lambda n: combine(s, e_pow(n), f_pow(n)), radius_hint=radius, name=name)
 
     def ev(x):
-        return eval_degenerate(q, x) if degenerate else eval_nondegenerate(q, x)
+        x_inv = x.inverse()
+        return combine(s, (ONE - e * x_inv).inverse(), (ONE - f * x_inv).inverse())
 
     return CatalogEntry(name, {"q": q}, radius, seq, ev)
-
-
-def _cos_nondegenerate(q, x):
-    va = q.vec_abs()
-    s = q.vector_part / va
-    x_inv = x.inverse()
-    left = (ONE - exp(s * q) * x_inv).inverse()
-    right = (ONE - exp(-(s * q)) * x_inv).inverse()
-    return (left + right) * 0.5
 
 
 def _cos_degenerate(q, x):
     c1 = cos_seq_term(q, 1)
     denom = (x * x - x * c1 * 2 + ONE).inverse()
     return (x * x - x * c1) * denom
-
-
-def _sin_nondegenerate(q, x):
-    va = q.vec_abs()
-    s = q.vector_part / va
-    x_inv = x.inverse()
-    left = (ONE - exp(s * q) * x_inv).inverse()
-    right = (ONE - exp(-(s * q)) * x_inv).inverse()
-    return s * (right - left) * 0.5
 
 
 def _sin_degenerate(q, x):
@@ -179,11 +175,11 @@ def _sin_degenerate(q, x):
 
 
 def cos_qn(q) -> CatalogEntry:
-    return _trig_entry("cos_qn", q, cos_seq_term, _cos_nondegenerate, _cos_degenerate)
+    return _trig_entry("cos_qn", q, cos_seq_term, _cos_degenerate, lambda s, a, b: (a + b) * 0.5)
 
 
 def sin_qn(q) -> CatalogEntry:
-    return _trig_entry("sin_qn", q, sin_seq_term, _sin_nondegenerate, _sin_degenerate)
+    return _trig_entry("sin_qn", q, sin_seq_term, _sin_degenerate, lambda s, a, b: s * (b - a) * 0.5)
 
 
 def binom_shifted(m: int, q) -> CatalogEntry:
@@ -191,7 +187,8 @@ def binom_shifted(m: int, q) -> CatalogEntry:
         raise ValueError("m must be a nonnegative integer")
     q = as_biquaternion(q)
     radius = root_magnitudes(q)[0]
-    seq = Sequence(lambda n: (q**n) * math.comb(n + m, m), radius_hint=radius, name="binom_shifted")
+    powers = stepped(ONE, lambda _: q)
+    seq = Sequence(lambda n: powers(n) * math.comb(n + m, m), radius_hint=radius, name="binom_shifted")
 
     def ev(x):
         x_inv = x.inverse()
@@ -206,7 +203,8 @@ def binom(m: int, q) -> CatalogEntry:
     q = as_biquaternion(q)
     q_inv = q.inverse()  # required by the closed form
     radius = root_magnitudes(q)[0]
-    seq = Sequence(lambda n: (q**n) * math.comb(n, m), radius_hint=radius, name="binom")
+    powers = stepped(ONE, lambda _: q)
+    seq = Sequence(lambda n: powers(n) * math.comb(n, m), radius_hint=radius, name="binom")
 
     def ev(x):
         x_inv = x.inverse()
@@ -217,16 +215,8 @@ def binom(m: int, q) -> CatalogEntry:
 
 def exp_over_fact(q) -> CatalogEntry:
     q = as_biquaternion(q)
-    terms = [ONE]
-
-    def term(n):
-        while len(terms) <= n:
-            m = len(terms)
-            terms.append(terms[m - 1] * (q / m))
-        return terms[n]
-
     # the series is entire
-    seq = Sequence(term, radius_hint=0.0, name="exp_over_fact")
+    seq = Sequence(stepped(ONE, lambda n: q / n), radius_hint=0.0, name="exp_over_fact")
 
     def ev(x):
         return exp(q * x.inverse())

@@ -236,7 +236,7 @@ def _candidate_sequence(desc: dict) -> Sequence:
         return catalog.build(desc["catalog"], desc.get("params")).sequence
     poly = [parse(c) for c in desc.get("polynomial", [])]
     geos = [
-        (parse(g["coeff"]), parse(g["ratio"]), int(g.get("delay", 0)))
+        (parse(g["coeff"]), Sequence.geometric(parse(g["ratio"])), int(g.get("delay", 0)))
         for g in desc.get("geometric", [])
     ]
     if not poly and not geos:
@@ -246,9 +246,9 @@ def _candidate_sequence(desc: dict) -> Sequence:
         acc = ZERO
         for degree, coeff in enumerate(poly):
             acc = acc + coeff * (n**degree)
-        for coeff, ratio, dly in geos:
+        for coeff, powers, dly in geos:
             if n >= dly:
-                acc = acc + coeff * ratio ** (n - dly)
+                acc = acc + coeff * powers.term(n - dly)
         return acc
 
     return Sequence(term, name="candidate")

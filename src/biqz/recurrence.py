@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import ONE, ZERO, Biquaternion, as_biquaternion
+from .algebra import ZERO, Biquaternion, as_biquaternion
 from .catalog import CatalogEntry
 from .errors import OutsideROCError, ZeroDivisorError
 from .sequences import Sequence
@@ -224,18 +224,15 @@ def deconvolve_geometric(target: Sequence, kernel_param, n_terms: int = 0) -> Se
     f(t) = target(t) - sum_{n=1..t} kernel**n * f(t-n), kernel powers on the
     left.  ``n_terms`` optionally materializes a prefix up front.
     """
-    kern = as_biquaternion(kernel_param)
-    powers = [ONE]
+    powers = Sequence.geometric(kernel_param)
     values: list[Biquaternion] = []
 
     def term(t: int) -> Biquaternion:
         while len(values) <= t:
             idx = len(values)
-            while len(powers) <= idx:
-                powers.append(powers[-1] * kern)
             acc = target.term(idx)
             for n in range(1, idx + 1):
-                acc = acc - powers[n] * values[idx - n]
+                acc = acc - powers.term(n) * values[idx - n]
             values.append(acc)
         return values[t]
 

@@ -1,14 +1,43 @@
 """Lazily evaluated biquaternion sequences f_0, f_1, f_2, ..."""
 from __future__ import annotations
 
+from typing import Callable
+
 from .algebra import ONE, ZERO, Biquaternion, as_biquaternion
+
+
+def stepped(first: Biquaternion, factor: Callable[[int], Biquaternion]):
+    """Term function n -> first * factor(1) * factor(2) * ... * factor(n).
+
+    It remembers the last (index, value) it returned and steps forward from
+    there by one multiplication per index, restarting from ``first`` for an
+    earlier index, so in-order access costs O(1) per term: p**n is reached as
+    p**(n-1) * p (powers of p commute) instead of by binary powering.  The
+    value at each index is the same whatever the access order.
+    """
+    last = (0, first)
+
+    def term(n: int) -> Biquaternion:
+        nonlocal last
+        k, value = last  # one snapshot: concurrent callers can only lose reuse
+        if n < k:
+            k, value = 0, first
+        while k < n:
+            k += 1
+            value = value * factor(k)
+        last = (k, value)
+        return value
+
+    return term
 
 
 class Sequence:
     """A deterministic map from index n >= 0 to a biquaternion.
 
     Terms are memoized, so repeated evaluation at the same index returns the
-    identical value and term functions may be shared between threads.
+    identical value.  Term functions may hold stepping state (:func:`stepped`)
+    yet give each index the same value in any order; nothing is locked, so
+    threads sharing a sequence may compute a term twice (equal, not identical).
     ``radius_hint`` optionally records an analytically known convergence
     radius for the sequence's Z transform.
     """
@@ -43,7 +72,7 @@ class Sequence:
     @classmethod
     def geometric(cls, ratio) -> "Sequence":
         p = as_biquaternion(ratio)
-        return cls(lambda n: p**n, name="geometric")
+        return cls(stepped(ONE, lambda _: p), name="geometric")
 
     @classmethod
     def from_terms(cls, values, tail=ZERO) -> "Sequence":

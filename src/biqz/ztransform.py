@@ -18,9 +18,9 @@ from collections import deque
 from dataclasses import dataclass
 from math import inf, isinf
 
-from .algebra import ONE, Biquaternion, as_biquaternion
+from .algebra import ONE, Biquaternion, as_biquaternion, root_magnitudes
 from .errors import DivergentSeriesError, NoConvergenceError, OutsideROCError
-from .sequences import Sequence, advance, delay
+from .sequences import Sequence, advance, delay, stepped
 
 # window length for the geometric-tail ratio test
 _RATIO_WINDOW = 8
@@ -84,7 +84,8 @@ def transform(
     bound falls below ``eps`` (or ``max_terms`` is reached; the result is
     then uncertified, with ``tail_bound == inf``).  Raises
     NoConvergenceError when terms keep growing, and OutsideROCError when a
-    radius hint on ``f`` already rules the point out.
+    radius hint on ``f`` already rules the point out: the smaller root
+    magnitude of x, which sets how slowly x**-n decays, is not above it.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
@@ -92,9 +93,9 @@ def transform(
         raise ValueError("max_terms must be positive")
     x = as_biquaternion(x)
     x_inv = x.inverse()  # ZeroDivisorError for non-invertible points
-    if f.radius_hint is not None and x.real_norm() <= f.radius_hint:
+    if f.radius_hint is not None and root_magnitudes(x)[1] <= f.radius_hint:
         raise OutsideROCError(
-            f"real norm {x.real_norm()} is not above the radius hint {f.radius_hint}"
+            f"smaller root magnitude {root_magnitudes(x)[1]} of x <= radius hint {f.radius_hint}"
         )
 
     total = f.term(0)
@@ -208,7 +209,8 @@ def geometric_scale(f: Sequence, q) -> Sequence:
     hint = None
     if f.radius_hint is not None:
         hint = f.radius_hint * ratio.real_norm()
-    return Sequence(lambda n: f.term(n) * ratio**n, radius_hint=hint, name="geometric_scale")
+    powers = stepped(ONE, lambda _: ratio)
+    return Sequence(lambda n: f.term(n) * powers(n), radius_hint=hint, name="geometric_scale")
 
 
 def advance_transform(
