@@ -42,10 +42,14 @@ parameter, cos/sin the larger root of exp(+-s*q), and exp_over_fact is
 entire.  The real gauge of the parameter would understate growth near the
 zero-divisor variety: powers of 1 + 1Ik double componentwise although its
 real gauge is 0.
+
+A row is added in one place, ``ROWS``: its builder, the names of its
+parameters and the verify-catalog sampler that draws them.
 """
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -60,6 +64,7 @@ from .algebra import (
     sin_seq_term,
 )
 from .errors import OutsideROCError
+from .parsing import parse
 from .sequences import Sequence, stepped
 
 
@@ -67,9 +72,13 @@ from .sequences import Sequence, stepped
 class CatalogEntry:
     name: str
     params: dict
-    roc_radius: float
     sequence: Sequence
     _eval_fn: Callable[[Biquaternion], Biquaternion] = field(repr=False)
+
+    @property
+    def roc_radius(self) -> float:
+        """Convergence radius of the series, stored once as the sequence's radius_hint."""
+        return self.sequence.radius_hint
 
     def eval(self, x) -> Biquaternion:
         """Closed-form transform value at x; requires root_magnitudes(x)[1] > roc_radius."""
@@ -86,49 +95,39 @@ class CatalogEntry:
         return f"CatalogEntry({self.name}, params={self.params}, roc_radius={self.roc_radius})"
 
 
+def _entry(name: str, params: dict, radius: float, term, closed) -> CatalogEntry:
+    return CatalogEntry(name, params, Sequence(term, radius_hint=radius, name=name), closed)
+
+
 def const_one() -> CatalogEntry:
-    seq = Sequence(lambda n: ONE, radius_hint=1.0, name="const_one")
-
-    def ev(x):
-        return (ONE - x.inverse()).inverse()
-
-    return CatalogEntry("const_one", {}, 1.0, seq, ev)
+    return _entry("const_one", {}, 1.0, lambda n: ONE, lambda x: (ONE - x.inverse()).inverse())
 
 
 def ramp_n() -> CatalogEntry:
-    seq = Sequence(lambda n: n, radius_hint=1.0, name="ramp_n")
-
-    def ev(x):
-        return x * (x - ONE).inverse() ** 2
-
-    return CatalogEntry("ramp_n", {}, 1.0, seq, ev)
+    return _entry("ramp_n", {}, 1.0, lambda n: n, lambda x: x * (x - ONE).inverse() ** 2)
 
 
 def ramp_n2() -> CatalogEntry:
-    seq = Sequence(lambda n: n * n, radius_hint=1.0, name="ramp_n2")
-
-    def ev(x):
-        return (x * x + x) * (x - ONE).inverse() ** 3
-
-    return CatalogEntry("ramp_n2", {}, 1.0, seq, ev)
+    return _entry("ramp_n2", {}, 1.0, lambda n: n * n, lambda x: (x * x + x) * (x - ONE).inverse() ** 3)
 
 
 def pow_p(p) -> CatalogEntry:
     p = as_biquaternion(p)
-    radius = root_magnitudes(p)[0]
-    seq = Sequence(stepped(ONE, lambda _: p), radius_hint=radius, name="pow_p")
+    # unweighted: a factor of 1 per term could flip the sign of zero components
+    return _entry(
+        "pow_p", {"p": p}, root_magnitudes(p)[0], stepped(ONE, lambda _: p),
+        lambda x: (ONE - p * x.inverse()).inverse(),
+    )
 
-    def ev(x):
-        return (ONE - p * x.inverse()).inverse()
 
-    return CatalogEntry("pow_p", {"p": p}, radius, seq, ev)
+def _geometric(name: str, params: dict, q: Biquaternion, weight, closed) -> CatalogEntry:
+    """Entry with terms q**n * weight(n), stepped, and the larger root of q as radius."""
+    powers = stepped(ONE, lambda _: q)
+    return _entry(name, params, root_magnitudes(q)[0], lambda n: powers(n) * weight(n), closed)
 
 
 def n_pow_p(p, as_printed: bool = False) -> CatalogEntry:
     p = as_biquaternion(p)
-    radius = root_magnitudes(p)[0]
-    powers = stepped(ONE, lambda _: p)
-    seq = Sequence(lambda n: powers(n) * n, radius_hint=radius, name="n_pow_p")
 
     def ev(x):
         x_inv = x.inverse()
@@ -136,7 +135,7 @@ def n_pow_p(p, as_printed: bool = False) -> CatalogEntry:
             return p * (ONE - p * x_inv).inverse()
         return p * x_inv * (ONE - p * x_inv).inverse() ** 2
 
-    return CatalogEntry("n_pow_p", {"p": p, "as_printed": as_printed}, radius, seq, ev)
+    return _geometric("n_pow_p", {"p": p, "as_printed": as_printed}, p, lambda n: n, ev)
 
 
 def _trig_entry(name: str, q, degenerate_term, degenerate_eval, combine) -> CatalogEntry:
@@ -147,18 +146,18 @@ def _trig_entry(name: str, q, degenerate_term, degenerate_eval, combine) -> Cata
     # s = v/vec_abs commutes with q, eigenvalues +-I: exp(+-s*q) has exp(+-(+-I*q0 - vec_abs))
     radius = math.exp(abs(va.real) + abs(q.w.imag))
     if abs(va) < DEGENERATE_VEC_TOL:
-        seq = Sequence(lambda n: degenerate_term(q, n), radius_hint=radius, name=name)
-        return CatalogEntry(name, {"q": q}, radius, seq, lambda x: degenerate_eval(q, x))
+        return _entry(
+            name, {"q": q}, radius, lambda n: degenerate_term(q, n), lambda x: degenerate_eval(q, x)
+        )
     s = q.vector_part / va
     e, f = exp(s * q), exp(-(s * q))
     e_pow, f_pow = stepped(ONE, lambda _: e), stepped(ONE, lambda _: f)
-    seq = Sequence(lambda n: combine(s, e_pow(n), f_pow(n)), radius_hint=radius, name=name)
 
     def ev(x):
         x_inv = x.inverse()
         return combine(s, (ONE - e * x_inv).inverse(), (ONE - f * x_inv).inverse())
 
-    return CatalogEntry(name, {"q": q}, radius, seq, ev)
+    return _entry(name, {"q": q}, radius, lambda n: combine(s, e_pow(n), f_pow(n)), ev)
 
 
 def _cos_degenerate(q, x):
@@ -182,87 +181,122 @@ def sin_qn(q) -> CatalogEntry:
     return _trig_entry("sin_qn", q, sin_seq_term, _sin_degenerate, lambda s, a, b: s * (b - a) * 0.5)
 
 
-def binom_shifted(m: int, q) -> CatalogEntry:
-    if not isinstance(m, int) or m < 0:
+def _check_m(m) -> None:
+    if isinstance(m, bool) or not isinstance(m, int) or m < 0:
         raise ValueError("m must be a nonnegative integer")
+
+
+def binom_shifted(m: int, q) -> CatalogEntry:
+    _check_m(m)
     q = as_biquaternion(q)
-    radius = root_magnitudes(q)[0]
-    powers = stepped(ONE, lambda _: q)
-    seq = Sequence(lambda n: powers(n) * math.comb(n + m, m), radius_hint=radius, name="binom_shifted")
 
     def ev(x):
         x_inv = x.inverse()
         return (ONE - x_inv * q).inverse() ** m * (ONE - q * x_inv).inverse()
 
-    return CatalogEntry("binom_shifted", {"m": m, "q": q}, radius, seq, ev)
+    return _geometric("binom_shifted", {"m": m, "q": q}, q, lambda n: math.comb(n + m, m), ev)
 
 
 def binom(m: int, q) -> CatalogEntry:
-    if not isinstance(m, int) or m < 0:
-        raise ValueError("m must be a nonnegative integer")
+    _check_m(m)
     q = as_biquaternion(q)
     q_inv = q.inverse()  # required by the closed form
-    radius = root_magnitudes(q)[0]
-    powers = stepped(ONE, lambda _: q)
-    seq = Sequence(lambda n: powers(n) * math.comb(n, m), radius_hint=radius, name="binom")
 
     def ev(x):
         x_inv = x.inverse()
         return (x * q_inv - ONE).inverse() ** m * (ONE - q * x_inv).inverse()
 
-    return CatalogEntry("binom", {"m": m, "q": q}, radius, seq, ev)
+    return _geometric("binom", {"m": m, "q": q}, q, lambda n: math.comb(n, m), ev)
 
 
 def exp_over_fact(q) -> CatalogEntry:
     q = as_biquaternion(q)
-    # the series is entire
-    seq = Sequence(stepped(ONE, lambda n: q / n), radius_hint=0.0, name="exp_over_fact")
+    term = stepped(ONE, lambda n: q / n)
+    return _entry("exp_over_fact", {"q": q}, 0.0, term, lambda x: exp(q * x.inverse()))  # entire
 
-    def ev(x):
-        return exp(q * x.inverse())
 
-    return CatalogEntry("exp_over_fact", {"q": q}, 0.0, seq, ev)
+def draw_conditioned(rng: random.Random) -> Biquaternion:
+    """A biquaternion bounded away from the zero-divisor variety.
+
+    Near that variety the real gauge of a value is far below its component
+    size, and double precision cannot resolve the identities being checked;
+    the draws stay where the checks are numerically meaningful.
+    """
+    while True:
+        q = Biquaternion(
+            complex(rng.uniform(-1, 1), rng.uniform(-1, 1)),
+            complex(rng.uniform(-1, 1), rng.uniform(-1, 1)),
+            complex(rng.uniform(-1, 1), rng.uniform(-1, 1)),
+            complex(rng.uniform(-1, 1), rng.uniform(-1, 1)),
+        )
+        size_sq = q.component_norm() ** 2
+        if size_sq < 0.1:
+            continue
+        if abs(q.complex_norm_sq()) < 0.05 * size_sq:
+            continue
+        big, small = root_magnitudes(q)
+        if small == 0.0 or big / small > 3.0:
+            continue
+        return q
+
+
+def _sample_trig(rng: random.Random) -> list[dict]:
+    # a nondegenerate q and a scalar (degenerate-branch) q
+    while True:
+        q = draw_conditioned(rng) * 0.8
+        if abs(q.vec_abs()) >= 0.3:
+            break
+    q_flat = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+    return [{"q": q}, {"q": q_flat}]
+
+
+def _sample_binom(rng: random.Random) -> list[dict]:
+    m = rng.choice([1, 2, 3])
+    return [{"m": m, "q": draw_conditioned(rng)}]
+
+
+@dataclass(frozen=True)
+class Row:
+    """Builder, parameter names in argument order, verify-catalog draws (a dict per variant)."""
+
+    builder: Callable[..., CatalogEntry]
+    params: tuple[str, ...] = ()
+    sample: Callable[[random.Random], list[dict]] = lambda rng: [{}]
 
 
 # stable names addressable from the CLI and from JSON recurrence specs
-BUILDERS: dict[str, tuple[Callable, tuple[str, ...]]] = {
-    "const_one": (const_one, ()),
-    "ramp_n": (ramp_n, ()),
-    "ramp_n2": (ramp_n2, ()),
-    "pow_p": (pow_p, ("p",)),
-    "n_pow_p": (n_pow_p, ("p",)),
-    "cos_qn": (cos_qn, ("q",)),
-    "sin_qn": (sin_qn, ("q",)),
-    "binom_shifted": (binom_shifted, ("m", "q")),
-    "binom": (binom, ("m", "q")),
-    "exp_over_fact": (exp_over_fact, ("q",)),
+ROWS: dict[str, Row] = {
+    "const_one": Row(const_one),
+    "ramp_n": Row(ramp_n),
+    "ramp_n2": Row(ramp_n2),
+    "pow_p": Row(pow_p, ("p",), lambda rng: [{"p": draw_conditioned(rng)}]),
+    "n_pow_p": Row(n_pow_p, ("p",), lambda rng: [{"p": draw_conditioned(rng)}]),
+    "cos_qn": Row(cos_qn, ("q",), _sample_trig),
+    "sin_qn": Row(sin_qn, ("q",), _sample_trig),
+    "binom_shifted": Row(binom_shifted, ("m", "q"), _sample_binom),
+    "binom": Row(binom, ("m", "q"), _sample_binom),
+    "exp_over_fact": Row(exp_over_fact, ("q",), lambda rng: [{"q": draw_conditioned(rng) * 2.0}]),
 }
 
-ALL_NAMES = tuple(BUILDERS)
+ALL_NAMES = tuple(ROWS)
 
 
 def build(name: str, params: dict | None = None, as_printed: bool = False) -> CatalogEntry:
-    """Build an entry by stable name; biquaternion params may be literals."""
-    from .parsing import parse
-
-    if name not in BUILDERS:
+    """Build an entry by stable name; params are numbers, biquaternions or literal strings."""
+    if name not in ROWS:
         raise KeyError(f"unknown catalog entry {name!r}; known: {', '.join(ALL_NAMES)}")
-    builder, wanted = BUILDERS[name]
+    row = ROWS[name]
     params = dict(params or {})
-    unknown = set(params) - set(wanted)
-    if unknown:
+    if unknown := set(params) - set(row.params):
         raise ValueError(f"{name} does not take parameters {sorted(unknown)}")
     args = []
-    for key in wanted:
+    for key in row.params:
         if key not in params:
             raise ValueError(f"{name} requires parameter {key!r}")
         raw = params[key]
-        if key == "m":
-            args.append(int(raw))
-        elif isinstance(raw, str):
-            args.append(parse(raw))
-        else:
-            args.append(as_biquaternion(raw))
-    if name == "n_pow_p":
-        return builder(*args, as_printed=as_printed)
-    return builder(*args)
+        if isinstance(raw, bool) or not isinstance(raw, (str, int, float, complex, Biquaternion)):
+            raise ValueError(f"{name} parameter {key!r} must be a number, biquaternion or string")
+        if isinstance(raw, str):
+            raw = int(raw) if key == "m" else parse(raw)
+        args.append(raw)
+    return row.builder(*args, as_printed=as_printed) if name == "n_pow_p" else row.builder(*args)

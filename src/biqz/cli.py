@@ -83,31 +83,6 @@ def _emit(report: dict, as_json: bool) -> None:
 # -- seeded draws for verify-catalog ------------------------------------------
 
 
-def _draw_conditioned(rng: random.Random) -> Biquaternion:
-    """A biquaternion bounded away from the zero-divisor variety.
-
-    Near that variety the real gauge of a value is far below its component
-    size, and double precision cannot resolve the identities being checked;
-    the draws stay where the checks are numerically meaningful.
-    """
-    while True:
-        q = Biquaternion(
-            complex(rng.uniform(-1, 1), rng.uniform(-1, 1)),
-            complex(rng.uniform(-1, 1), rng.uniform(-1, 1)),
-            complex(rng.uniform(-1, 1), rng.uniform(-1, 1)),
-            complex(rng.uniform(-1, 1), rng.uniform(-1, 1)),
-        )
-        size_sq = q.component_norm() ** 2
-        if size_sq < 0.1:
-            continue
-        if abs(q.complex_norm_sq()) < 0.05 * size_sq:
-            continue
-        big, small = root_magnitudes(q)
-        if small == 0.0 or big / small > 3.0:
-            continue
-        return q
-
-
 def _draw_point(rng: random.Random, entry: catalog.CatalogEntry, biquat_ok: bool):
     sigma = entry.roc_radius
     lo, hi = max(2.0 * sigma, 0.5), max(4.0 * sigma, 2.0)
@@ -116,30 +91,10 @@ def _draw_point(rng: random.Random, entry: catalog.CatalogEntry, biquat_ok: bool
         # rescale so the SMALLER root magnitude hits the target radius: the
         # inverse powers x**-n shrink componentwise at exactly that rate,
         # while the real gauge only fixes the geometric mean of the roots
-        x = _draw_conditioned(rng)
+        x = catalog.draw_conditioned(rng)
         return x * (radius / root_magnitudes(x)[1])
     theta = rng.uniform(0.0, 2.0 * math.pi)
     return complex(radius * math.cos(theta), radius * math.sin(theta))
-
-
-def _realize_row(name: str, rng: random.Random, as_printed: bool) -> list[catalog.CatalogEntry]:
-    if name in ("const_one", "ramp_n", "ramp_n2"):
-        return [catalog.build(name)]
-    if name in ("pow_p", "n_pow_p"):
-        return [catalog.build(name, {"p": _draw_conditioned(rng)}, as_printed=as_printed)]
-    if name in ("cos_qn", "sin_qn"):
-        while True:
-            q = _draw_conditioned(rng) * 0.8
-            if abs(q.vec_abs()) >= 0.3:
-                break
-        q_flat = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-        return [catalog.build(name, {"q": q}), catalog.build(name, {"q": q_flat})]
-    if name in ("binom_shifted", "binom"):
-        m = rng.choice([1, 2, 3])
-        return [catalog.build(name, {"m": m, "q": _draw_conditioned(rng)})]
-    if name == "exp_over_fact":
-        return [catalog.build(name, {"q": _draw_conditioned(rng) * 2.0})]
-    raise KeyError(f"unknown catalog entry {name!r}")
 
 
 # -- subcommands ---------------------------------------------------------------
@@ -184,13 +139,14 @@ def cmd_eval(args) -> tuple[dict, int]:
 def cmd_verify_catalog(args) -> tuple[dict, int]:
     rows = args.rows.split(",") if args.rows else list(catalog.ALL_NAMES)
     for name in rows:
-        if name not in catalog.BUILDERS:
+        if name not in catalog.ROWS:
             raise KeyError(f"unknown catalog entry {name!r}")
     rng = random.Random(args.seed)
     row_reports = []
     all_ok = True
     for name in rows:
-        entries = _realize_row(name, rng, args.as_printed)
+        draws = catalog.ROWS[name].sample(rng)
+        entries = [catalog.build(name, p, as_printed=args.as_printed) for p in draws]
         max_dev = 0.0
         max_excess = -math.inf
         ok = True

@@ -208,7 +208,7 @@ def geometric_scale(f: Sequence, q) -> Sequence:
     ratio.inverse()  # raises ZeroDivisorError up front
     hint = None
     if f.radius_hint is not None:
-        hint = f.radius_hint * ratio.real_norm()
+        hint = f.radius_hint * root_magnitudes(ratio)[0]
     powers = stepped(ONE, lambda _: ratio)
     return Sequence(lambda n: f.term(n) * powers(n), radius_hint=hint, name="geometric_scale")
 
