@@ -272,6 +272,36 @@ def isclose(p, q, rel_tol: float = 1e-9, abs_tol: float = 0.0) -> bool:
     return gap <= max(rel_tol * scale, abs_tol)
 
 
+def sum_products(pairs) -> Biquaternion:
+    """a0*b0 + a1*b1 + ... over (a, b) pairs of biquaternions, as one value.
+
+    Bit-identical to ``total = a0*b0; total = total + a*b`` for the rest: the
+    sum starts from the first product (so signed zeros survive), each product
+    component is ``__mul__``'s expression and sums are taken in order, but only
+    the result is built and checked.  A component that leaves double range
+    stays non-finite under addition, so overflow raises the same ValueError.
+    """
+    it = iter(pairs)
+    try:
+        p, q = next(it)
+    except StopIteration:
+        raise ValueError("sum_products needs at least one pair") from None
+    pw, px, py, pz = p.w, p.x, p.y, p.z
+    qw, qx, qy, qz = q.w, q.x, q.y, q.z
+    w = pw * qw - px * qx - py * qy - pz * qz
+    x = pw * qx + px * qw + py * qz - pz * qy
+    y = pw * qy + py * qw + pz * qx - px * qz
+    z = pw * qz + pz * qw + px * qy - py * qx
+    for p, q in it:
+        pw, px, py, pz = p.w, p.x, p.y, p.z
+        qw, qx, qy, qz = q.w, q.x, q.y, q.z
+        w = w + (pw * qw - px * qx - py * qy - pz * qz)
+        x = x + (pw * qx + px * qw + py * qz - pz * qy)
+        y = y + (pw * qy + py * qw + pz * qx - px * qz)
+        z = z + (pw * qz + pz * qw + px * qy - py * qx)
+    return Biquaternion(w, x, y, z)
+
+
 def root_magnitudes(q) -> tuple[float, float]:
     """(larger, smaller) magnitude of the two scalar roots q0 +- sqrt(q0**2 - cns).
 

@@ -181,13 +181,25 @@ def sin_qn(q) -> CatalogEntry:
     return _trig_entry("sin_qn", q, sin_seq_term, _sin_degenerate, lambda s, a, b: s * (b - a) * 0.5)
 
 
-def _check_m(m) -> None:
-    if isinstance(m, bool) or not isinstance(m, int) or m < 0:
-        raise ValueError("m must be a nonnegative integer")
+def nonnegative_int(key: str, raw) -> int:
+    """raw as a nonnegative integer: an int that is not a bool, or a string holding one.
+
+    Anything else (a float, a bool, None, a negative value) is refused, not
+    coerced: ValueError naming ``key``.
+    """
+    value = raw
+    if isinstance(raw, str):
+        try:
+            value = int(raw)
+        except ValueError:
+            value = None
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise ValueError(f"{key} must be a nonnegative integer, got {raw!r}")
+    return value
 
 
 def binom_shifted(m: int, q) -> CatalogEntry:
-    _check_m(m)
+    m = nonnegative_int("m", m)
     q = as_biquaternion(q)
 
     def ev(x):
@@ -198,7 +210,7 @@ def binom_shifted(m: int, q) -> CatalogEntry:
 
 
 def binom(m: int, q) -> CatalogEntry:
-    _check_m(m)
+    m = nonnegative_int("m", m)
     q = as_biquaternion(q)
     q_inv = q.inverse()  # required by the closed form
 
@@ -296,7 +308,7 @@ def build(name: str, params: dict | None = None, as_printed: bool = False) -> Ca
         raw = params[key]
         if isinstance(raw, bool) or not isinstance(raw, (str, int, float, complex, Biquaternion)):
             raise ValueError(f"{name} parameter {key!r} must be a number, biquaternion or string")
-        if isinstance(raw, str):
-            raw = int(raw) if key == "m" else parse(raw)
+        if isinstance(raw, str) and key != "m":  # binomial builders check m themselves
+            raw = parse(raw)
         args.append(raw)
     return row.builder(*args, as_printed=as_printed) if name == "n_pow_p" else row.builder(*args)

@@ -276,7 +276,7 @@ def _run_deconvolve_payload(payload: dict, tol: float) -> tuple[dict, bool]:
     spec = payload["deconvolve"]
     kern = parse(spec["kernel"])
     target = _candidate_sequence(spec["target"])
-    n_terms = int(payload.get("roundtrip_terms", 30))
+    n_terms = catalog.nonnegative_int("roundtrip_terms", payload.get("roundtrip_terms", 30))
     sol = deconvolve_geometric(target, kern, n_terms + 1)
     recon = convolve(Sequence.geometric(kern), sol)
     roundtrip = 0.0

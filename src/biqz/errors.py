@@ -18,7 +18,8 @@ class DivergentSeriesError(BiqzError):
 
 
 class NoConvergenceError(BiqzError):
-    """A truncated series evaluation ran out of terms while still growing."""
+    """A truncated series evaluation ran out of terms while still growing, or
+    an iterated value left double range (a component overflowed to inf/nan)."""
 
 
 class OutsideROCError(BiqzError):

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .algebra import ZERO, Biquaternion, as_biquaternion
 from .catalog import CatalogEntry
-from .errors import OutsideROCError, ZeroDivisorError
+from .errors import NoConvergenceError, OutsideROCError, ZeroDivisorError
 from .sequences import Sequence
 from .ztransform import DEFAULT_EPS, DEFAULT_MAX_TERMS, roc_estimate, transform
 
@@ -75,10 +75,15 @@ class LinearRecurrence:
             def term(n: int) -> Biquaternion:
                 while len(values) <= n:
                     base = len(values) - self.order
-                    acc = self.rhs(base)
-                    for m in range(self.order):
-                        acc = acc - values[base + m] * self.coeffs[m]
-                    values.append(acc * lead_inv)
+                    try:
+                        acc = self.rhs(base)
+                        for m in range(self.order):
+                            acc = acc - values[base + m] * self.coeffs[m]
+                        values.append(acc * lead_inv)
+                    except ValueError as exc:  # a component left double range
+                        raise NoConvergenceError(
+                            f"recurrence solution leaves double range at index {len(values)}"
+                        ) from exc
                 return values[n]
 
             self._solution = Sequence(term, name="recurrence")
@@ -217,24 +222,25 @@ def verify_closed_form(
 
 
 def deconvolve_geometric(target: Sequence, kernel_param, n_terms: int = 0) -> Sequence:
-    """Solve sum_{n=0..t} kernel**n * f(t-n) = target(t) for f.
+    """Solve sum_{n=0..t} kernel**n * f(t-n) = target(t) for f, in O(1) per term.
 
-    Forward substitution; the kernel's leading coefficient is kernel**0 = 1,
-    so every step is well defined:
-    f(t) = target(t) - sum_{n=1..t} kernel**n * f(t-n), kernel powers on the
-    left.  ``n_terms`` optionally materializes a prefix up front.
+    Subtracting kernel times the equation at t-1, with kernel powers on the
+    left,
+
+        kernel * target(t-1) = sum_{n=0..t-1} kernel**(n+1) * f(t-1-n)
+                             = sum_{n=1..t} kernel**n * f(t-n),
+
+    from the equation at t leaves only its n = 0 term, so
+    f(t) = target(t) - kernel * target(t-1) for t >= 1 and f(0) = target(0).
+    Each term costs one product and reads two target terms, so access is
+    random.  ``n_terms`` optionally materializes a prefix up front.
     """
-    powers = Sequence.geometric(kernel_param)
-    values: list[Biquaternion] = []
+    kernel = as_biquaternion(kernel_param)
 
     def term(t: int) -> Biquaternion:
-        while len(values) <= t:
-            idx = len(values)
-            acc = target.term(idx)
-            for n in range(1, idx + 1):
-                acc = acc - powers.term(n) * values[idx - n]
-            values.append(acc)
-        return values[t]
+        if t == 0:
+            return target.term(0)
+        return target.term(t) - kernel * target.term(t - 1)
 
     seq = Sequence(term, name="deconvolve_geometric")
     if n_terms > 0:

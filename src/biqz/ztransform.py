@@ -18,7 +18,7 @@ from collections import deque
 from dataclasses import dataclass
 from math import inf, isinf
 
-from .algebra import ONE, Biquaternion, as_biquaternion, root_magnitudes
+from .algebra import ONE, Biquaternion, as_biquaternion, root_magnitudes, sum_products
 from .errors import DivergentSeriesError, NoConvergenceError, OutsideROCError
 from .sequences import Sequence, advance, delay, stepped
 
@@ -107,8 +107,9 @@ def transform(
     for n in range(1, max_terms):
         try:
             term = f.term(n) * x_pow
-        except (OverflowError, ValueError):
-            # f_n itself left double range even though f_n * x**-n may not;
+        except (OverflowError, ValueError, NoConvergenceError):
+            # f_n itself left double range even though f_n * x**-n may not
+            # (a recurrence solution reports that as NoConvergenceError);
             # settle for whatever certification the window supports
             break
         size = term.component_norm()
@@ -274,10 +275,7 @@ def convolve(f: Sequence, g: Sequence) -> Sequence:
     """
 
     def term(n: int) -> Biquaternion:
-        total = f.term(n) * g.term(0)
-        for m in range(1, n + 1):
-            total = total + f.term(n - m) * g.term(m)
-        return total
+        return sum_products((f.term(n - m), g.term(m)) for m in range(n + 1))
 
     return Sequence(term, radius_hint=_merged_hint(f, g), name="convolve")
 
