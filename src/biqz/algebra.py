@@ -38,11 +38,13 @@ INVERTIBILITY_TOL = 1e-12
 DEGENERATE_VEC_TOL = 1e-10
 
 Scalar = int | float | complex
+_SCALARS = (int, float, complex)
+_isfinite = cmath.isfinite
 
 
 def _coerce_component(value) -> complex:
     c = complex(value)
-    if not cmath.isfinite(c):
+    if not _isfinite(c):
         raise ValueError(f"non-finite biquaternion component: {value!r}")
     return c
 
@@ -106,7 +108,7 @@ class Biquaternion:
         o = _embed(other)
         if o is None:
             return NotImplemented
-        return Biquaternion(self.w + o.w, self.x + o.x, self.y + o.y, self.z + o.z)
+        return _result(self.w + o.w, self.x + o.x, self.y + o.y, self.z + o.z)
 
     __radd__ = __add__
 
@@ -114,7 +116,7 @@ class Biquaternion:
         o = _embed(other)
         if o is None:
             return NotImplemented
-        return Biquaternion(self.w - o.w, self.x - o.x, self.y - o.y, self.z - o.z)
+        return _result(self.w - o.w, self.x - o.x, self.y - o.y, self.z - o.z)
 
     def __rsub__(self, other):
         o = _embed(other)
@@ -123,18 +125,20 @@ class Biquaternion:
         return o - self
 
     def __neg__(self):
-        return Biquaternion(-self.w, -self.x, -self.y, -self.z)
+        return _result(-self.w, -self.x, -self.y, -self.z)
 
     def __pos__(self):
         return self
 
     def __mul__(self, other):
-        if isinstance(other, (int, float, complex)):
-            return Biquaternion(self.w * other, self.x * other, self.y * other, self.z * other)
+        if isinstance(other, _SCALARS):
+            if type(other) not in _SCALARS:
+                other = complex(other)  # a subclass, e.g. numpy's, may keep its own type
+            return _result(self.w * other, self.x * other, self.y * other, self.z * other)
         if not isinstance(other, Biquaternion):
             return NotImplemented
         p, q = self, other
-        return Biquaternion(
+        return _result(
             p.w * q.w - p.x * q.x - p.y * q.y - p.z * q.z,
             p.w * q.x + p.x * q.w + p.y * q.z - p.z * q.y,
             p.w * q.y + p.y * q.w + p.z * q.x - p.x * q.z,
@@ -143,13 +147,17 @@ class Biquaternion:
 
     def __rmul__(self, other):
         # scalars commute, so left multiplication by a scalar is componentwise
-        if isinstance(other, (int, float, complex)):
-            return Biquaternion(other * self.w, other * self.x, other * self.y, other * self.z)
+        if isinstance(other, _SCALARS):
+            if type(other) not in _SCALARS:
+                other = complex(other)  # a subclass, e.g. numpy's, may keep its own type
+            return _result(other * self.w, other * self.x, other * self.y, other * self.z)
         return NotImplemented
 
     def __truediv__(self, other):
-        if isinstance(other, (int, float, complex)):
-            return Biquaternion(self.w / other, self.x / other, self.y / other, self.z / other)
+        if isinstance(other, _SCALARS):
+            if type(other) not in _SCALARS:
+                other = complex(other)  # a subclass, e.g. numpy's, may keep its own type
+            return _result(self.w / other, self.x / other, self.y / other, self.z / other)
         return NotImplemented
 
     def __pow__(self, n):
@@ -177,7 +185,7 @@ class Biquaternion:
 
     def conj(self) -> "Biquaternion":
         """Quaternion conjugate: scalar part kept, vector part negated."""
-        return Biquaternion(self.w, -self.x, -self.y, -self.z)
+        return _result(self.w, -self.x, -self.y, -self.z)
 
     def complex_norm_sq(self) -> complex:
         """The complex scalar q * conj(q) = w**2 + x**2 + y**2 + z**2."""
@@ -215,7 +223,7 @@ class Biquaternion:
             raise ZeroDivisorError(
                 f"complex norm {cns!r} is numerically zero; no inverse exists"
             )
-        return Biquaternion(self.w / cns, -self.x / cns, -self.y / cns, -self.z / cns)
+        return _result(self.w / cns, -self.x / cns, -self.y / cns, -self.z / cns)
 
     def vec_abs(self) -> complex:
         """Principal complex square root of x**2 + y**2 + z**2.
@@ -240,6 +248,30 @@ class Biquaternion:
         return format_literal(self)
 
 
+_new = object.__new__
+_set_w, _set_x, _set_y, _set_z = (
+    Biquaternion.w.__set__, Biquaternion.x.__set__, Biquaternion.y.__set__, Biquaternion.z.__set__
+)
+
+
+def _result(w: complex, x: complex, y: complex, z: complex) -> Biquaternion:
+    """Build an arithmetic result from components that are already ``complex``.
+
+    Arithmetic on built-in complex components yields built-in complex, so the
+    constructor's ``complex()`` coercion is skipped; its finiteness check is
+    not.  A non-finite component goes through the constructor, which raises
+    its ``non-finite biquaternion component`` ValueError.
+    """
+    if not (_isfinite(w) and _isfinite(x) and _isfinite(y) and _isfinite(z)):
+        return Biquaternion(w, x, y, z)  # raises
+    q = _new(Biquaternion)
+    _set_w(q, w)
+    _set_x(q, x)
+    _set_y(q, y)
+    _set_z(q, z)
+    return q
+
+
 ZERO = Biquaternion()
 ONE = Biquaternion(1.0)
 i = Biquaternion(0.0, 1.0)
@@ -250,7 +282,7 @@ k = Biquaternion(0.0, 0.0, 0.0, 1.0)
 def _embed(value):
     if isinstance(value, Biquaternion):
         return value
-    if isinstance(value, (int, float, complex)):
+    if isinstance(value, _SCALARS):
         return Biquaternion(value)
     return None
 
@@ -278,8 +310,10 @@ def sum_products(pairs) -> Biquaternion:
     Bit-identical to ``total = a0*b0; total = total + a*b`` for the rest: the
     sum starts from the first product (so signed zeros survive), each product
     component is ``__mul__``'s expression and sums are taken in order, but only
-    the result is built and checked.  A component that leaves double range
-    stays non-finite under addition, so overflow raises the same ValueError.
+    the result is built, like every arithmetic result without re-coercing its
+    components and with their finiteness checked.  A component that leaves
+    double range stays non-finite under addition, so overflow raises the same
+    ValueError.
     """
     it = iter(pairs)
     try:
@@ -299,7 +333,7 @@ def sum_products(pairs) -> Biquaternion:
         x = x + (pw * qx + px * qw + py * qz - pz * qy)
         y = y + (pw * qy + py * qw + pz * qx - px * qz)
         z = z + (pw * qz + pz * qw + px * qy - py * qx)
-    return Biquaternion(w, x, y, z)
+    return _result(w, x, y, z)
 
 
 def root_magnitudes(q) -> tuple[float, float]:

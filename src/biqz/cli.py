@@ -192,7 +192,11 @@ def _candidate_sequence(desc: dict) -> Sequence:
         return catalog.build(desc["catalog"], desc.get("params")).sequence
     poly = [parse(c) for c in desc.get("polynomial", [])]
     geos = [
-        (parse(g["coeff"]), Sequence.geometric(parse(g["ratio"])), int(g.get("delay", 0)))
+        (
+            parse(g["coeff"]),
+            Sequence.geometric(parse(g["ratio"])),
+            catalog.nonnegative_int("delay", g.get("delay", 0)),
+        )
         for g in desc.get("geometric", [])
     ]
     if not poly and not geos:
@@ -220,9 +224,10 @@ def _load_recurrence(payload: dict) -> LinearRecurrence:
             ForcingTerm(entry.sequence, [parse(c) for c in item["coeffs"]], entry=entry)
         )
     rec = LinearRecurrence(coeffs, initial, forcing)
-    declared = payload.get("order")
-    if declared is not None and int(declared) != rec.order:
-        raise ValueError(f"spec declares order {declared} but has {len(coeffs)} coefficients")
+    if "order" in payload:
+        declared = catalog.nonnegative_int("order", payload["order"])
+        if declared != rec.order:
+            raise ValueError(f"spec declares order {declared} but has {len(coeffs)} coefficients")
     return rec
 
 

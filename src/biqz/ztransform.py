@@ -16,9 +16,10 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from math import inf, isinf
+from cmath import isfinite
+from math import inf, isinf, sqrt
 
-from .algebra import ONE, Biquaternion, as_biquaternion, root_magnitudes, sum_products
+from .algebra import ONE, Biquaternion, _result, as_biquaternion, root_magnitudes, sum_products
 from .errors import DivergentSeriesError, NoConvergenceError, OutsideROCError
 from .sequences import Sequence, advance, delay, stepped
 
@@ -86,6 +87,15 @@ def transform(
     NoConvergenceError when terms keep growing, and OutsideROCError when a
     radius hint on ``f`` already rules the point out: the smaller root
     magnitude of x, which sets how slowly x**-n decays, is not above it.
+
+    Each step fuses the product f_n * x**-n, the running sum and the next
+    power x**-(n+1) over raw complex components, with ``__mul__``'s and
+    ``__add__``'s expressions in their order, and one Biquaternion is built
+    per result; values, term counts and tail bounds are bit-identical to the
+    loop of Biquaternion operations.  As in that loop, a term f_n or a
+    product that leaves double range ends the series, a finite product whose
+    size overflows raises NoConvergenceError, and a power x**-n that leaves
+    double range raises ValueError.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
@@ -98,24 +108,44 @@ def transform(
             f"smaller root magnitude {root_magnitudes(x)[1]} of x <= radius hint {f.radius_hint}"
         )
 
-    total = f.term(0)
-    prev_size = total.component_norm()
+    # total = total + f_n * x_pow; x_pow = x_pow * x_inv, over components
+    first = f.term(0)
+    tw, tx, ty, tz = first.w, first.x, first.y, first.z
+    prev_size = first.component_norm()
     ratios: deque[float] = deque(maxlen=_RATIO_WINDOW)
-    x_pow = x_inv
+    iw, ix, iy, iz = x_inv.w, x_inv.x, x_inv.y, x_inv.z
+    qw, qx, qy, qz = iw, ix, iy, iz  # x**-n
+    term = f.term
     used = 1
 
     for n in range(1, max_terms):
         try:
-            term = f.term(n) * x_pow
+            p = term(n)
         except (OverflowError, ValueError, NoConvergenceError):
             # f_n itself left double range even though f_n * x**-n may not
             # (a recurrence solution reports that as NoConvergenceError);
             # settle for whatever certification the window supports
             break
-        size = term.component_norm()
-        if size > _DIVERGENCE_BAIL:
+        pw, px, py, pz = p.w, p.x, p.y, p.z
+        # the term f_n * x**-n
+        aw = pw * qw - px * qx - py * qy - pz * qz
+        ax = pw * qx + px * qw + py * qz - pz * qy
+        ay = pw * qy + py * qw + pz * qx - px * qz
+        az = pw * qz + pz * qw + px * qy - py * qx
+        size = sqrt(
+            aw.real * aw.real + aw.imag * aw.imag
+            + ax.real * ax.real + ax.imag * ax.imag
+            + ay.real * ay.real + ay.imag * ay.imag
+            + az.real * az.real + az.imag * az.imag
+        )
+        # also true when size is inf or NaN; only then are the components inspected
+        if not size <= _DIVERGENCE_BAIL:
+            if not (isfinite(aw) and isfinite(ax) and isfinite(ay) and isfinite(az)):
+                break  # f_n * x**-n left double range: as for f_n above
             raise NoConvergenceError(f"terms exceed {_DIVERGENCE_BAIL:g} at index {n}")
-        total = total + term
+        # terms are at most _DIVERGENCE_BAIL, below half an ulp of the largest
+        # double, so the running sum cannot leave range; _result checks it anyway
+        tw, tx, ty, tz = tw + aw, tx + ax, ty + ay, tz + az
         used = n + 1
         if prev_size == 0.0:
             ratios.append(inf if size > 0.0 else 0.0)
@@ -127,9 +157,17 @@ def transform(
             if r < 1.0:
                 tail = size * r / (1.0 - r)
                 if tail <= eps:
-                    return TransformValue(total, n + 1, tail)
-        x_pow = x_pow * x_inv
+                    return TransformValue(_result(tw, tx, ty, tz), n + 1, tail)
+        qw, qx, qy, qz = (
+            qw * iw - qx * ix - qy * iy - qz * iz,
+            qw * ix + qx * iw + qy * iz - qz * iy,
+            qw * iy + qy * iw + qz * ix - qx * iz,
+            qw * iz + qz * iw + qx * iy - qy * ix,
+        )
+        if not (isfinite(qw) and isfinite(qx) and isfinite(qy) and isfinite(qz)):
+            _result(qw, qx, qy, qz)  # x**-n left double range: raises ValueError
 
+    total = _result(tw, tx, ty, tz)
     if len(ratios) == _RATIO_WINDOW:
         r = max(ratios)
         if r < 1.0:

@@ -80,6 +80,68 @@ def partial_transform(f: Sequence, x, n_terms: int) -> Biquaternion:
     return total
 
 
+def reference_transform(f: Sequence, x, eps: float = 1e-12, max_terms: int = 4096):
+    """``ztransform.transform`` as an unfused loop of Biquaternion operations.
+
+    One product, one sum and one power step per term, each a checked value,
+    with ``transform``'s stopping rules.  The fused loop in the library must
+    reproduce its value, term count, tail bound and exceptions bit for bit.
+    """
+    from collections import deque
+
+    from biqz import NoConvergenceError, OutsideROCError, TransformValue
+    from biqz.algebra import root_magnitudes as library_root_magnitudes
+    from biqz.ztransform import _DIVERGENCE_BAIL, _RATIO_WINDOW
+
+    if eps <= 0:
+        raise ValueError("eps must be positive")
+    if max_terms <= 0:
+        raise ValueError("max_terms must be positive")
+    x = as_biquaternion(x)
+    x_inv = x.inverse()
+    if f.radius_hint is not None and library_root_magnitudes(x)[1] <= f.radius_hint:
+        raise OutsideROCError(
+            f"smaller root magnitude {library_root_magnitudes(x)[1]} of x <= radius hint {f.radius_hint}"
+        )
+
+    total = f.term(0)
+    prev_size = total.component_norm()
+    ratios = deque(maxlen=_RATIO_WINDOW)
+    x_pow = x_inv
+    used = 1
+
+    for n in range(1, max_terms):
+        try:
+            term = f.term(n) * x_pow
+        except (OverflowError, ValueError, NoConvergenceError):
+            break
+        size = term.component_norm()
+        if size > _DIVERGENCE_BAIL:
+            raise NoConvergenceError(f"terms exceed {_DIVERGENCE_BAIL:g} at index {n}")
+        total = total + term
+        used = n + 1
+        if prev_size == 0.0:
+            ratios.append(math.inf if size > 0.0 else 0.0)
+        else:
+            ratios.append(size / prev_size)
+        prev_size = size
+        if len(ratios) == _RATIO_WINDOW:
+            r = max(ratios)
+            if r < 1.0:
+                tail = size * r / (1.0 - r)
+                if tail <= eps:
+                    return TransformValue(total, n + 1, tail)
+        x_pow = x_pow * x_inv
+
+    if len(ratios) == _RATIO_WINDOW:
+        r = max(ratios)
+        if r < 1.0:
+            return TransformValue(total, used, prev_size * r / (1.0 - r))
+        if not math.isinf(r) and r > 1.0:
+            raise NoConvergenceError(f"terms still growing after {used} terms")
+    return TransformValue(total, used, math.inf)
+
+
 def comp_dist(a, b) -> float:
     return (as_biquaternion(a) - as_biquaternion(b)).component_norm()
 
