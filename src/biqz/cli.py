@@ -18,6 +18,7 @@ are byte-stable for identical invocations (including --seed).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import random
@@ -137,6 +138,8 @@ def cmd_eval(args) -> tuple[dict, int]:
 
 
 def cmd_verify_catalog(args) -> tuple[dict, int]:
+    if args.points < 1:
+        raise ValueError(f"--points must be at least 1, got {args.points}")
     rows = args.rows.split(",") if args.rows else list(catalog.ALL_NAMES)
     for name in rows:
         if name not in catalog.ROWS:
@@ -432,6 +435,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built on first use, not at import; parse_args leaves the parser unchanged
+# (append actions copy their default), so one tree serves every call
+_parser = functools.cache(build_parser)
+
+
 _COMMANDS = {
     "eval": cmd_eval,
     "verify-catalog": cmd_verify_catalog,
@@ -441,7 +449,7 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         report, code = _COMMANDS[args.command](args)
     except BiqzError as exc:

@@ -39,16 +39,20 @@ class Sequence:
     yet give each index the same value in any order; nothing is locked, so
     threads sharing a sequence may compute a term twice (equal, not identical).
     ``radius_hint`` optionally records an analytically known convergence
-    radius for the sequence's Z transform.
+    radius for the sequence's Z transform.  ``ratio`` is the p of a sequence
+    built by :meth:`geometric`, whose terms are p**n, and ``None`` on every
+    other sequence; :func:`~biqz.ztransform.convolve` reads it to step a
+    geometric left factor instead of summing products.
     """
 
-    __slots__ = ("_fn", "_cache", "radius_hint", "name")
+    __slots__ = ("_fn", "_cache", "radius_hint", "name", "ratio")
 
     def __init__(self, fn, radius_hint: float | None = None, name: str | None = None):
         self._fn = fn
         self._cache: dict[int, Biquaternion] = {}
         self.radius_hint = radius_hint
         self.name = name
+        self.ratio: Biquaternion | None = None
 
     def term(self, n: int) -> Biquaternion:
         if not isinstance(n, int) or n < 0:
@@ -72,7 +76,9 @@ class Sequence:
     @classmethod
     def geometric(cls, ratio) -> "Sequence":
         p = as_biquaternion(ratio)
-        return cls(stepped(ONE, lambda _: p), name="geometric")
+        seq = cls(stepped(ONE, lambda _: p), name="geometric")
+        seq.ratio = p
+        return seq
 
     @classmethod
     def from_terms(cls, values, tail=ZERO) -> "Sequence":

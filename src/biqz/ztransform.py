@@ -310,12 +310,67 @@ def convolve(f: Sequence, g: Sequence) -> Sequence:
     At complex evaluation points the transform of w is X[f]*X[g]; the
     symmetric form sum f_k * g_{n-k} only coincides when the termwise
     products happen to commute.
-    """
 
-    def term(n: int) -> Biquaternion:
-        return sum_products((f.term(n - m), g.term(m)) for m in range(n + 1))
+    For any ``f`` the sum is formed directly, n + 1 products for term n, and
+    each term is bit-identical to ``total = f_n*g_0; total = total + f_{n-m}*g_m``.
+    When ``f`` is ``Sequence.geometric(K)`` (its ``ratio`` is K), splitting off
+    the m = n term leaves K times the sum for n - 1, K on the left as in the
+    direct sum:
+
+        w_n = sum_{m<=n} K**(n-m) * g_m = K * sum_{m<=n-1} K**(n-1-m) * g_m + g_n
+            = K * w_{n-1} + g_n,          w_0 = g_0,
+
+    the inverse of the step of :func:`~biqz.recurrence.deconvolve_geometric`.
+    Each term then costs one product (:func:`_geometric_convolution`).  The
+    recursion rounds differently from the direct sum, so its terms agree with
+    it to rounding, not bit for bit, and since it never forms K**n it does not
+    fail where K**n alone leaves double range.
+    """
+    if f.ratio is not None:
+        term = _geometric_convolution(f.ratio, g)
+    else:
+
+        def term(n: int) -> Biquaternion:
+            return sum_products((f.term(n - m), g.term(m)) for m in range(n + 1))
 
     return Sequence(term, radius_hint=_merged_hint(f, g), name="convolve")
+
+
+def _geometric_convolution(ratio: Biquaternion, g: Sequence):
+    """Term function n -> sum_{m<=n} ratio**(n-m) * g_m, by w_n = ratio*w_{n-1} + g_n.
+
+    Like :func:`~biqz.sequences.stepped` it remembers the last (index, value)
+    it returned and steps forward from there, restarting from g_0 for an
+    earlier index, so in-order access costs one product per term and any
+    index is reached by a loop.  Each step is ``__mul__``'s and ``__add__``'s
+    expressions over raw components; a component that leaves double range
+    stays non-finite, so the value built at the end raises the constructor's
+    ValueError.
+    """
+    kw, kx, ky, kz = ratio.w, ratio.x, ratio.y, ratio.z
+    g_term = g.term
+    last: tuple[int, Biquaternion | None] = (0, None)
+
+    def term(n: int) -> Biquaternion:
+        nonlocal last
+        k, value = last  # one snapshot: concurrent callers can only lose reuse
+        if value is None or n < k:
+            k, value = 0, g_term(0)
+        vw, vx, vy, vz = value.w, value.x, value.y, value.z
+        while k < n:
+            k += 1
+            p = g_term(k)
+            vw, vx, vy, vz = (
+                (kw * vw - kx * vx - ky * vy - kz * vz) + p.w,
+                (kw * vx + kx * vw + ky * vz - kz * vy) + p.x,
+                (kw * vy + ky * vw + kz * vx - kx * vz) + p.y,
+                (kw * vz + kz * vw + kx * vy - ky * vx) + p.z,
+            )
+        value = _result(vw, vx, vy, vz)
+        last = (k, value)
+        return value
+
+    return term
 
 
 __all__ = [

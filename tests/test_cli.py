@@ -58,6 +58,17 @@ class TestEval:
         assert code == 3
         assert report["errors"][0]["name"] == "ZeroDivisor"
 
+    def test_params_do_not_carry_over_between_calls(self, capsys):
+        code, report = run_json(capsys, "eval", "pow_p", "--param", "p=0.5", "--at", "4")
+        assert code == 0
+        assert report["inputs"]["params"] == {"p": "0.5"}
+        code, report = run_json(capsys, "eval", "const_one", "--at", "4")
+        assert code == 0
+        assert report["inputs"]["params"] == {}
+        code, report = run_json(capsys, "eval", "pow_p", "--at", "4")
+        assert code == 2
+        assert "requires parameter 'p'" in report["errors"][0]["message"]
+
 
 class TestVerifyCatalog:
     def test_default_run_passes_all_rows(self, capsys):
@@ -87,6 +98,14 @@ class TestVerifyCatalog:
     def test_unknown_row_is_parse_error(self, capsys):
         code, _ = run_json(capsys, "verify-catalog", "--rows", "nope")
         assert code == 2
+
+    @pytest.mark.parametrize("points", ["0", "-3"])
+    def test_points_below_one_is_parse_error(self, capsys, points):
+        code, report = run_json(capsys, "verify-catalog", "--points", points)
+        assert code == 2
+        assert report["pass"] is False
+        assert report["errors"][0]["name"] == "Value"
+        assert "--points" in report["errors"][0]["message"]
 
     def test_deterministic_reports(self, capsys):
         _, out1 = run_cli(capsys, "verify-catalog", "--seed", "5", "--points", "3", "--json")

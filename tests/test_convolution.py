@@ -1,5 +1,6 @@
-"""The fused multiply-accumulate kernel, convolve built on it, O(1)-per-term
-deconvolution, and the CLI edges of deconvolution and overflowing solutions."""
+"""The fused multiply-accumulate kernel, convolve built on it, the stepped
+geometric-kernel convolution, O(1)-per-term deconvolution, and the CLI edges of
+deconvolution and overflowing solutions."""
 import json
 import random
 from importlib import resources
@@ -100,6 +101,92 @@ class TestConvolve:
             for m in range(1, n + 1):
                 total = total + f.term(n - m) * g.term(m)
             assert _reprs(w.term(n)) == _reprs(total), n
+
+
+def _scaled(rng: random.Random, lo: float, hi: float) -> Biquaternion:
+    """A random value rescaled to a component norm drawn from [lo, hi]."""
+    q = rand_biquat(rng)
+    return q * (rng.uniform(lo, hi) / q.component_norm())
+
+
+class TestGeometricConvolve:
+    """convolve(Sequence.geometric(K), g) steps w_n = K*w_{n-1} + g_n."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_the_direct_sum(self, seed):
+        rng = random.Random(100 + seed)
+        kernel = _scaled(rng, 0.3, 1.5)
+        g = Sequence.from_terms([rand_biquat(rng) for _ in range(200)])
+        assert not g.term(0).commutes_with(kernel)
+        stepped = convolve(Sequence.geometric(kernel), g)
+        # an unflagged view of the same terms takes the general path
+        direct = convolve(Sequence(Sequence.geometric(kernel).term), g)
+        for n in range(200):
+            want = direct.term(n)
+            assert comp_dist(stepped.term(n), want) <= 1e-12 * max(1.0, want.component_norm()), n
+
+    def test_kernel_multiplies_on_the_left(self):
+        kernel = parse("2j")
+        g = Sequence.from_terms([parse("1i"), parse("0.5k")])
+        w = convolve(Sequence.geometric(kernel), g)
+        # w_1 = K*g_0 + g_1 and w_2 = K*K*g_0 + K*g_1; K*i = -2k but i*K = 2k
+        assert w.term(1) == kernel * g.term(0) + g.term(1) == parse("-1.5k")
+        assert w.term(1) != g.term(0) * kernel + g.term(1)
+        assert w.term(2) == kernel * kernel * g.term(0) + kernel * g.term(1) == parse("-3i")
+
+    def test_first_access_far_out_matches_in_order_access(self):
+        rng = random.Random(21)
+        kernel = _scaled(rng, 0.3, 0.9)
+        values = [rand_biquat(rng) for _ in range(64)]
+        g = Sequence(lambda n: values[n % 64])
+        far = convolve(Sequence.geometric(kernel), g).term(5000)  # no RecursionError
+        in_order = convolve(Sequence.geometric(kernel), g)
+        for n in range(5001):
+            near = in_order.term(n)
+        assert _reprs(far) == _reprs(near)
+
+    def test_earlier_index_after_later_restarts_consistently(self):
+        rng = random.Random(22)
+        kernel = _scaled(rng, 0.3, 1.5)
+        g = Sequence.from_terms([rand_biquat(rng) for _ in range(40)])
+        backwards = convolve(Sequence.geometric(kernel), g)
+        forwards = convolve(Sequence.geometric(kernel), g)
+        got = [backwards.term(n) for n in reversed(range(40))][::-1]
+        assert [_reprs(q) for q in got] == [_reprs(forwards.term(n)) for n in range(40)]
+
+    def test_overflow_raises(self):
+        w = convolve(Sequence.geometric(Biquaternion(1e200)), Sequence.constant(ONE))
+        assert w.term(1) == Biquaternion(1e200 + 1.0)
+        with pytest.raises(ValueError, match="non-finite"):
+            w.term(2)
+        with pytest.raises(ValueError, match="non-finite"):
+            convolve(Sequence.geometric(Biquaternion(1e200)), Sequence.constant(ONE)).term(7)
+
+    def test_no_overflow_where_only_kernel_powers_leave_range(self):
+        # (1+1Ik)**n = 2**(n-1) * (1+1Ik) leaves double range near n = 1025,
+        # but (1+1Ik)*(1-1Ik) = 0, so every w_n is g_n = 1-1Ik
+        kernel, g = parse("1+1Ik"), Sequence.constant(parse("1-1Ik"))
+        assert convolve(Sequence.geometric(kernel), g).term(2000) == parse("1-1Ik")
+        with pytest.raises(ValueError, match="non-finite"):
+            convolve(Sequence(Sequence.geometric(kernel).term), g).term(2000)
+
+    def test_geometric_right_factor_matches_the_two_line_loop_bitwise(self):
+        rng = random.Random(23)
+        f = Sequence.from_terms([rand_biquat(rng) for _ in range(25)])
+        g = Sequence.geometric(_scaled(rng, 0.3, 1.5))
+        w = convolve(f, g)
+        for n in range(25):
+            total = f.term(n) * g.term(0)
+            for m in range(1, n + 1):
+                total = total + f.term(n - m) * g.term(m)
+            assert _reprs(w.term(n)) == _reprs(total), n
+
+    def test_only_geometric_carries_a_ratio(self):
+        kernel = parse("0.5j")
+        assert Sequence.geometric(kernel).ratio == kernel
+        assert Sequence(Sequence.geometric(kernel).term).ratio is None
+        assert Sequence.constant(kernel).ratio is None
+        assert convolve(Sequence.geometric(kernel), Sequence.delta()).ratio is None
 
 
 def _geometric_convolution(kernel: Biquaternion, f: Sequence, t: int) -> Biquaternion:
