@@ -213,13 +213,12 @@ class Biquaternion:
 
     def is_invertible(self) -> bool:
         """|q * conj(q)| > INVERTIBILITY_TOL * component_norm()**2; false for 0."""
-        return abs(self.complex_norm_sq()) > INVERTIBILITY_TOL * self.component_norm() ** 2
+        return _invertible(self, self.complex_norm_sq())
 
     def inverse(self) -> "Biquaternion":
         """conj(q) / (q * conj(q)); raises ZeroDivisorError unless is_invertible()."""
         cns = self.complex_norm_sq()
-        # is_invertible()'s test, written out so that cns is computed only once
-        if not abs(cns) > INVERTIBILITY_TOL * self.component_norm() ** 2:
+        if not _invertible(self, cns):
             raise ZeroDivisorError(
                 f"complex norm {cns!r} is numerically zero; no inverse exists"
             )
@@ -246,6 +245,11 @@ class Biquaternion:
         from .parsing import format_literal
 
         return format_literal(self)
+
+
+def _invertible(q: Biquaternion, cns: complex) -> bool:
+    """The invertibility test, given q's complex norm cns = q * conj(q)."""
+    return abs(cns) > INVERTIBILITY_TOL * q.component_norm() ** 2
 
 
 _new = object.__new__
@@ -305,35 +309,21 @@ def isclose(p, q, rel_tol: float = 1e-9, abs_tol: float = 0.0) -> bool:
 
 
 def sum_products(pairs) -> Biquaternion:
-    """a0*b0 + a1*b1 + ... over (a, b) pairs of biquaternions, as one value.
+    """a0*b0 + a1*b1 + ... over (a, b) pairs of biquaternions.
 
-    Bit-identical to ``total = a0*b0; total = total + a*b`` for the rest: the
-    sum starts from the first product (so signed zeros survive), each product
-    component is ``__mul__``'s expression and sums are taken in order, but only
-    the result is built, like every arithmetic result without re-coercing its
-    components and with their finiteness checked.  A component that leaves
-    double range stays non-finite under addition, so overflow raises the same
-    ValueError.
+    Computed as ``total = a0*b0; total = total + a*b`` for the rest: the sum
+    starts from the first product, so signed zeros survive, and an overflow
+    raises the constructor's ValueError.
     """
     it = iter(pairs)
     try:
-        p, q = next(it)
+        a, b = next(it)
     except StopIteration:
         raise ValueError("sum_products needs at least one pair") from None
-    pw, px, py, pz = p.w, p.x, p.y, p.z
-    qw, qx, qy, qz = q.w, q.x, q.y, q.z
-    w = pw * qw - px * qx - py * qy - pz * qz
-    x = pw * qx + px * qw + py * qz - pz * qy
-    y = pw * qy + py * qw + pz * qx - px * qz
-    z = pw * qz + pz * qw + px * qy - py * qx
-    for p, q in it:
-        pw, px, py, pz = p.w, p.x, p.y, p.z
-        qw, qx, qy, qz = q.w, q.x, q.y, q.z
-        w = w + (pw * qw - px * qx - py * qy - pz * qz)
-        x = x + (pw * qx + px * qw + py * qz - pz * qy)
-        y = y + (pw * qy + py * qw + pz * qx - px * qz)
-        z = z + (pw * qz + pz * qw + px * qy - py * qx)
-    return _result(w, x, y, z)
+    total = a * b
+    for a, b in it:
+        total = total + a * b
+    return total
 
 
 def root_magnitudes(q) -> tuple[float, float]:

@@ -384,15 +384,10 @@ def cmd_paper_suite(args) -> tuple[dict, int]:
 # -- argument parsing ----------------------------------------------------------
 
 
-def _common_flags(sub, eps=True, tol=None, max_terms=True):
-    if eps:
-        sub.add_argument("--eps", type=float, default=DEFAULT_EPS,
-                         help="series truncation tolerance")
-    if tol is not None:
-        sub.add_argument("--tol", type=float, default=tol, help="verification tolerance")
-    if max_terms:
-        sub.add_argument("--max-terms", type=int, default=DEFAULT_MAX_TERMS,
-                         help="series term budget")
+def _common_flags(sub, tol):
+    sub.add_argument("--eps", type=float, default=DEFAULT_EPS, help="series truncation tolerance")
+    sub.add_argument("--tol", type=float, default=tol, help="verification tolerance")
+    sub.add_argument("--max-terms", type=int, default=DEFAULT_MAX_TERMS, help="series term budget")
     sub.add_argument("--json", action="store_true", help="emit a JSON report")
 
 
@@ -411,7 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--at", required=True, metavar="LITERAL", help="evaluation point")
     p_eval.add_argument("--as-printed", action="store_true",
                         help="use the inconsistent n_pow_p variant")
-    _common_flags(p_eval, tol=_DEFAULT_VERIFY_TOL)
+    _common_flags(p_eval, _DEFAULT_VERIFY_TOL)
 
     p_ver = subs.add_parser("verify-catalog", help="series-vs-closed-form sweep")
     p_ver.add_argument("--rows", help="comma-separated entry names (default: all)")
@@ -419,14 +414,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--seed", type=int, default=0, help="RNG seed")
     p_ver.add_argument("--as-printed", action="store_true",
                        help="use the inconsistent n_pow_p variant (fails by design)")
-    _common_flags(p_ver, tol=_DEFAULT_VERIFY_TOL)
+    _common_flags(p_ver, _DEFAULT_VERIFY_TOL)
 
     p_rec = subs.add_parser("recurrence", help="run a JSON recurrence spec")
     p_rec.add_argument("spec", help="path to a recurrence spec file")
     p_rec.add_argument("--terms", type=int, default=40, help="terms to iterate/verify")
     p_rec.add_argument("--x-samples", metavar="LIT,LIT,...",
                        help="override transform sample points")
-    _common_flags(p_rec, tol=_DEFAULT_REC_TOL)
+    _common_flags(p_rec, _DEFAULT_REC_TOL)
 
     p_suite = subs.add_parser("paper-suite",
                               help="run the bundled worked-example suite end to end")

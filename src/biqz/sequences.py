@@ -1,34 +1,48 @@
-"""Lazily evaluated biquaternion sequences f_0, f_1, f_2, ..."""
+"""Lazily evaluated biquaternion sequences f_0, f_1, f_2, ...
+
+Forward-stepped terms, each reached from the one before, go through one
+primitive, :func:`_stepper`: powers p**n (:func:`stepped`) and the geometric
+convolution recursion of :func:`~biqz.ztransform.convolve`.
+"""
 from __future__ import annotations
 
+from math import inf
 from typing import Callable
 
 from .algebra import ONE, ZERO, Biquaternion, as_biquaternion
 
 
-def stepped(first: Biquaternion, factor: Callable[[int], Biquaternion]):
-    """Term function n -> first * factor(1) * factor(2) * ... * factor(n).
+def _stepper(start: Callable[[], Biquaternion], step: Callable[[int, Biquaternion], Biquaternion]):
+    """Term function n -> v_n, where v_0 = start() and v_k = step(k, v_{k-1}).
 
     It remembers the last (index, value) it returned and steps forward from
-    there by one multiplication per index, restarting from ``first`` for an
-    earlier index, so in-order access costs O(1) per term: p**n is reached as
-    p**(n-1) * p (powers of p commute) instead of by binary powering.  The
+    there, restarting from ``start()`` for an earlier index, so in-order
+    access costs one step per term and any index is reached by a loop.  The
     value at each index is the same whatever the access order.
     """
-    last = (0, first)
+    last: tuple[float, Biquaternion | None] = (inf, None)  # any n < inf: the first call starts
 
     def term(n: int) -> Biquaternion:
         nonlocal last
         k, value = last  # one snapshot: concurrent callers can only lose reuse
         if n < k:
-            k, value = 0, first
+            k, value = 0, start()
         while k < n:
             k += 1
-            value = value * factor(k)
+            value = step(k, value)
         last = (k, value)
         return value
 
     return term
+
+
+def stepped(first: Biquaternion, factor: Callable[[int], Biquaternion]):
+    """Term function n -> first * factor(1) * factor(2) * ... * factor(n).
+
+    One multiplication per index in order: p**n is reached as p**(n-1) * p
+    (powers of p commute) instead of by binary powering.
+    """
+    return _stepper(lambda: first, lambda k, value: value * factor(k))
 
 
 class Sequence:

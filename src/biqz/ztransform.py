@@ -21,7 +21,7 @@ from math import inf, isinf, sqrt
 
 from .algebra import ONE, Biquaternion, _result, as_biquaternion, root_magnitudes, sum_products
 from .errors import DivergentSeriesError, NoConvergenceError, OutsideROCError
-from .sequences import Sequence, advance, delay, stepped
+from .sequences import Sequence, _stepper, advance, delay, stepped
 
 # window length for the geometric-tail ratio test
 _RATIO_WINDOW = 8
@@ -200,41 +200,28 @@ def roc_estimate(f: Sequence, n_max: int = 64) -> float:
 
 def linear_left(c1, f: Sequence, c2, g: Sequence) -> Sequence:
     """n -> c1*f_n + c2*g_n; its transform is c1*X[f] + c2*X[g]."""
-    a = as_biquaternion(c1)
-    b = as_biquaternion(c2)
-    return Sequence(
-        lambda n: a * f.term(n) + b * g.term(n),
-        radius_hint=_merged_hint(f, g),
-        name="linear_left",
-    )
+    a, b = as_biquaternion(c1), as_biquaternion(c2)
+    return _combined(lambda n: a * f.term(n) + b * g.term(n), f, g, "linear_left")
 
 
 def linear_right(f: Sequence, c1, g: Sequence, c2) -> Sequence:
     """n -> f_n*c1 + g_n*c2; its transform is X[f]*c1 + X[g]*c2."""
-    a = as_biquaternion(c1)
-    b = as_biquaternion(c2)
-    return Sequence(
-        lambda n: f.term(n) * a + g.term(n) * b,
-        radius_hint=_merged_hint(f, g),
-        name="linear_right",
-    )
+    a, b = as_biquaternion(c1), as_biquaternion(c2)
+    return _combined(lambda n: f.term(n) * a + g.term(n) * b, f, g, "linear_right")
 
 
 def linear_two_sided(c1, f: Sequence, g: Sequence, c2) -> Sequence:
     """n -> c1*f_n + g_n*c2; its transform is c1*X[f] + X[g]*c2."""
-    a = as_biquaternion(c1)
-    b = as_biquaternion(c2)
-    return Sequence(
-        lambda n: a * f.term(n) + g.term(n) * b,
-        radius_hint=_merged_hint(f, g),
-        name="linear_two_sided",
-    )
+    a, b = as_biquaternion(c1), as_biquaternion(c2)
+    return _combined(lambda n: a * f.term(n) + g.term(n) * b, f, g, "linear_two_sided")
 
 
-def _merged_hint(f: Sequence, g: Sequence) -> float | None:
-    if f.radius_hint is None or g.radius_hint is None:
-        return None
-    return max(f.radius_hint, g.radius_hint)
+def _combined(term, f: Sequence, g: Sequence, name: str) -> Sequence:
+    """A sequence built from f and g, whose radius hint is the larger of theirs."""
+    hint = None
+    if f.radius_hint is not None and g.radius_hint is not None:
+        hint = max(f.radius_hint, g.radius_hint)
+    return Sequence(term, radius_hint=hint, name=name)
 
 
 def geometric_scale(f: Sequence, q) -> Sequence:
@@ -313,64 +300,32 @@ def convolve(f: Sequence, g: Sequence) -> Sequence:
 
     For any ``f`` the sum is formed directly, n + 1 products for term n, and
     each term is bit-identical to ``total = f_n*g_0; total = total + f_{n-m}*g_m``.
-    When ``f`` is ``Sequence.geometric(K)`` (its ``ratio`` is K), splitting off
-    the m = n term leaves K times the sum for n - 1, K on the left as in the
-    direct sum:
+    The terms f_0..f_n are read in ascending order first, so a stepped ``f``
+    is not restarted for each lower index.  When ``f`` is
+    ``Sequence.geometric(K)`` (its ``ratio`` is K), splitting off the m = n
+    term leaves K times the sum for n - 1, K on the left as in the direct sum:
 
         w_n = sum_{m<=n} K**(n-m) * g_m = K * sum_{m<=n-1} K**(n-1-m) * g_m + g_n
             = K * w_{n-1} + g_n,          w_0 = g_0,
 
     the inverse of the step of :func:`~biqz.recurrence.deconvolve_geometric`.
-    Each term then costs one product (:func:`_geometric_convolution`).  The
+    The terms are then stepped by the same primitive as p**n, one product per
+    term, and an overflow raises ValueError at the step where it happens.  The
     recursion rounds differently from the direct sum, so its terms agree with
     it to rounding, not bit for bit, and since it never forms K**n it does not
     fail where K**n alone leaves double range.
     """
+    g_term = g.term
     if f.ratio is not None:
-        term = _geometric_convolution(f.ratio, g)
+        ratio = f.ratio
+        term = _stepper(lambda: g_term(0), lambda k, w: ratio * w + g_term(k))
     else:
 
         def term(n: int) -> Biquaternion:
-            return sum_products((f.term(n - m), g.term(m)) for m in range(n + 1))
+            fs = f.prefix(n + 1)
+            return sum_products((fs[n - m], g_term(m)) for m in range(n + 1))
 
-    return Sequence(term, radius_hint=_merged_hint(f, g), name="convolve")
-
-
-def _geometric_convolution(ratio: Biquaternion, g: Sequence):
-    """Term function n -> sum_{m<=n} ratio**(n-m) * g_m, by w_n = ratio*w_{n-1} + g_n.
-
-    Like :func:`~biqz.sequences.stepped` it remembers the last (index, value)
-    it returned and steps forward from there, restarting from g_0 for an
-    earlier index, so in-order access costs one product per term and any
-    index is reached by a loop.  Each step is ``__mul__``'s and ``__add__``'s
-    expressions over raw components; a component that leaves double range
-    stays non-finite, so the value built at the end raises the constructor's
-    ValueError.
-    """
-    kw, kx, ky, kz = ratio.w, ratio.x, ratio.y, ratio.z
-    g_term = g.term
-    last: tuple[int, Biquaternion | None] = (0, None)
-
-    def term(n: int) -> Biquaternion:
-        nonlocal last
-        k, value = last  # one snapshot: concurrent callers can only lose reuse
-        if value is None or n < k:
-            k, value = 0, g_term(0)
-        vw, vx, vy, vz = value.w, value.x, value.y, value.z
-        while k < n:
-            k += 1
-            p = g_term(k)
-            vw, vx, vy, vz = (
-                (kw * vw - kx * vx - ky * vy - kz * vz) + p.w,
-                (kw * vx + kx * vw + ky * vz - kz * vy) + p.x,
-                (kw * vy + ky * vw + kz * vx - kx * vz) + p.y,
-                (kw * vz + kz * vw + kx * vy - ky * vx) + p.z,
-            )
-        value = _result(vw, vx, vy, vz)
-        last = (k, value)
-        return value
-
-    return term
+    return _combined(term, f, g, "convolve")
 
 
 __all__ = [
