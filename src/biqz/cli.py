@@ -190,18 +190,30 @@ def cmd_verify_catalog(args) -> tuple[dict, int]:
     return report, 0 if all_ok else 1
 
 
-def _candidate_sequence(desc: dict) -> Sequence:
+def _shaped(value, kind: type, key: str):
+    """value if it is a JSON list (kind=list) or object (kind=dict), else a
+    ValueError naming key; a string in a list's place would iterate by letter."""
+    if not isinstance(value, kind):
+        shape = "list" if kind is list else "object"
+        raise ValueError(f"{key} must be a JSON {shape}, got {type(value).__name__} {value!r}")
+    return value
+
+
+def _listed(obj: dict, key: str, required: bool = True) -> list:
+    """The JSON list under key: KeyError if required and absent, [] if optional."""
+    return _shaped(obj[key] if required else obj.get(key, []), list, key)
+
+
+def _candidate_sequence(desc, key: str) -> Sequence:
+    desc = _shaped(desc, dict, key)
     if "catalog" in desc:
-        return catalog.build(desc["catalog"], desc.get("params")).sequence
-    poly = [parse(c) for c in desc.get("polynomial", [])]
-    geos = [
-        (
-            parse(g["coeff"]),
-            Sequence.geometric(parse(g["ratio"])),
-            catalog.nonnegative_int("delay", g.get("delay", 0)),
-        )
-        for g in desc.get("geometric", [])
-    ]
+        return catalog.build(desc["catalog"], _shaped(desc.get("params", {}), dict, "params")).sequence
+    poly = [parse(c) for c in _listed(desc, "polynomial", required=False)]
+    geos = []
+    for g in _listed(desc, "geometric", required=False):
+        g = _shaped(g, dict, "geometric")
+        geos.append((parse(g["coeff"]), Sequence.geometric(parse(g["ratio"])),
+                     catalog.nonnegative_int("delay", g.get("delay", 0))))
     if not poly and not geos:
         raise ValueError("candidate descriptor needs 'catalog', 'polynomial' or 'geometric'")
 
@@ -218,14 +230,13 @@ def _candidate_sequence(desc: dict) -> Sequence:
 
 
 def _load_recurrence(payload: dict) -> LinearRecurrence:
-    coeffs = [parse(c) for c in payload["coeffs"]]
-    initial = [parse(v) for v in payload["initial"]]
+    coeffs = [parse(c) for c in _listed(payload, "coeffs")]
+    initial = [parse(v) for v in _listed(payload, "initial")]
     forcing = []
-    for item in payload.get("forcing", []):
-        entry = catalog.build(item["catalog"], item.get("params"))
-        forcing.append(
-            ForcingTerm(entry.sequence, [parse(c) for c in item["coeffs"]], entry=entry)
-        )
+    for item in _listed(payload, "forcing", required=False):
+        item = _shaped(item, dict, "forcing")
+        entry = catalog.build(item["catalog"], _shaped(item.get("params", {}), dict, "params"))
+        forcing.append(ForcingTerm(entry.sequence, [parse(c) for c in _listed(item, "coeffs")], entry=entry))
     rec = LinearRecurrence(coeffs, initial, forcing)
     if "order" in payload:
         declared = catalog.nonnegative_int("order", payload["order"])
@@ -246,7 +257,7 @@ def _run_recurrence_payload(payload: dict, n_terms: int, tol: float, eps: float,
     }
     ok = True
     if "candidate" in payload:
-        cand = _candidate_sequence(payload["candidate"])
+        cand = _candidate_sequence(payload["candidate"], "candidate")
         rep = verify_closed_form(rec, cand, n_terms=n_terms, tol=tol)
         results["verification"] = {
             "max_abs_error": rep.max_abs_error,
@@ -257,7 +268,7 @@ def _run_recurrence_payload(payload: dict, n_terms: int, tol: float, eps: float,
             "pass": rep.passed,
         }
         ok = ok and rep.passed
-    samples = x_samples if x_samples is not None else payload.get("x_samples", [])
+    samples = x_samples if x_samples is not None else _listed(payload, "x_samples", required=False)
     checks = []
     for lit in samples:
         x = parse(lit).to_complex()
@@ -281,16 +292,12 @@ def _run_recurrence_payload(payload: dict, n_terms: int, tol: float, eps: float,
 
 
 def _run_deconvolve_payload(payload: dict, tol: float) -> tuple[dict, bool]:
-    spec = payload["deconvolve"]
+    spec = _shaped(payload["deconvolve"], dict, "deconvolve")
     kern = parse(spec["kernel"])
-    target = _candidate_sequence(spec["target"])
+    target = _candidate_sequence(spec["target"], "target")
     n_terms = catalog.nonnegative_int("roundtrip_terms", payload.get("roundtrip_terms", 30))
     sol = deconvolve_geometric(target, kern, n_terms + 1)
-    recon = convolve(Sequence.geometric(kern), sol)
-    roundtrip = 0.0
-    for t in range(n_terms + 1):
-        gap = (recon.term(t) - target.term(t)).component_norm()
-        roundtrip = max(roundtrip, gap / max(1.0, target.term(t).component_norm()))
+    roundtrip = _worst_rel_gap(convolve(Sequence.geometric(kern), sol), target, n_terms)
     ok = roundtrip <= tol
     results: dict = {
         "solution_terms": [_value_json(sol.term(t)) for t in range(min(n_terms + 1, 12))],
@@ -298,14 +305,19 @@ def _run_deconvolve_payload(payload: dict, tol: float) -> tuple[dict, bool]:
         "roundtrip_terms": n_terms,
     }
     if "candidate" in payload:
-        cand = _candidate_sequence(payload["candidate"])
-        worst = 0.0
-        for t in range(n_terms + 1):
-            gap = (sol.term(t) - cand.term(t)).component_norm()
-            worst = max(worst, gap / max(1.0, cand.term(t).component_norm()))
+        worst = _worst_rel_gap(sol, _candidate_sequence(payload["candidate"], "candidate"), n_terms)
         results["candidate_rel_error"] = worst
         ok = ok and worst <= tol
     return results, ok
+
+
+def _worst_rel_gap(got: Sequence, want: Sequence, n_terms: int) -> float:
+    """max over t = 0..n_terms of |got(t) - want(t)| / max(1, |want(t)|)."""
+    worst = 0.0
+    for t in range(n_terms + 1):
+        gap = (got.term(t) - want.term(t)).component_norm()
+        worst = max(worst, gap / max(1.0, want.term(t).component_norm()))
+    return worst
 
 
 def cmd_recurrence(args) -> tuple[dict, int]:

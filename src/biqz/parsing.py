@@ -1,15 +1,18 @@
 """Biquaternion literal grammar.
 
-    literal := term (('+' | '-') term)*
-    term    := complex ('i' | 'j' | 'k')?
-    complex := real | real 'I' | '(' real ('+'|'-') real 'I' ')'
+    literal := sign? term (sign term)*
+    term    := '(' sign? real sign real 'I' ')' unit?
+             | real 'I'? unit?
+             | unit
+    sign    := '+' | '-'
+    unit    := 'i' | 'j' | 'k'
+    real    := (digits '.'? digits? | '.' digits) (('e' | 'E') sign? digits)?
 
-Whitespace is insignificant.  'I' is the commuting complex unit; lowercase
-'i', 'j', 'k' are the quaternion units.  Examples:
-
-    1+2i+3j+4k        (0+1I)k  == 1Ik        (1+1I)+(0+2I)j       -0.5j
-
-A bare unit letter ('i', 'j', 'k') is accepted as a coefficient of 1.
+Whitespace is insignificant.  'I' is the commuting complex unit, 'i', 'j', 'k'
+the quaternion units, and a bare unit has coefficient 1: 1+2i+3j+4k, (0+1I)k
+== 1Ik, (1+1I)+(0+2I)j, -0.5j.  ``_TERM`` matches one signed term, line for
+line as above; with a '+' before an unsigned first term, a literal must be a
+run of such matches whose value stays in double range, or LiteralParseError.
 """
 from __future__ import annotations
 
@@ -18,88 +21,39 @@ import re
 from .algebra import Biquaternion
 from .errors import LiteralParseError
 
-_REAL = re.compile(r"(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?")
-_UNITS = {"i": 1, "j": 2, "k": 3}
+_REAL = r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
+_TERM = re.compile(rf"""([+-])
+    (?: \( ([+-]?{_REAL}) ([+-]{_REAL}) I \)    # '(' sign? real sign real 'I' ')'
+      | ({_REAL}) (I?)                          # real 'I'?
+      | (?=[ijk]) )                             # a bare unit
+    ([ijk]?)                                    # unit?
+    """, re.VERBOSE)
+_UNITS = {"": 0, "i": 1, "j": 2, "k": 3}
 
 
 def parse(text: str) -> Biquaternion:
     """Parse a literal into a Biquaternion; raises LiteralParseError."""
     if not isinstance(text, str):
         raise LiteralParseError(f"expected a literal string, got {type(text).__name__} {text!r}")
-    s = "".join(text.split())
-    if not s:
-        raise LiteralParseError("empty biquaternion literal")
-    comps = [0j, 0j, 0j, 0j]
-    pos = 0
-    sign = 1.0
-    if s[0] in "+-":
-        sign = -1.0 if s[0] == "-" else 1.0
-        pos = 1
-    while True:
-        value, axis, pos = _parse_term(s, pos)
-        comps[axis] += sign * value
-        if pos == len(s):
-            break
-        if s[pos] not in "+-":
-            raise LiteralParseError(f"expected '+' or '-' at position {pos} in {text!r}")
-        sign = -1.0 if s[pos] == "-" else 1.0
-        pos += 1
-        if pos == len(s):
-            raise LiteralParseError(f"dangling sign at end of {text!r}")
-    return Biquaternion(*comps)
-
-
-def _parse_term(s: str, pos: int) -> tuple[complex, int, int]:
-    if pos >= len(s):
-        raise LiteralParseError(f"expected a term at position {pos} in {s!r}")
-    ch = s[pos]
-    if ch == "(":
-        value, pos = _parse_paren(s, pos)
-    elif ch in _UNITS:
-        # bare unit letter: coefficient 1
-        return 1.0 + 0j, _UNITS[ch], pos + 1
-    else:
-        m = _REAL.match(s, pos)
-        if m is None:
-            raise LiteralParseError(f"expected a number at position {pos} in {s!r}")
-        num = float(m.group(0))
-        pos = m.end()
-        if pos < len(s) and s[pos] == "I":
-            value = complex(0.0, num)
-            pos += 1
+    body = "".join(text.split())
+    s = body if body.startswith(("+", "-")) else "+" + body
+    comps, pos = [0j, 0j, 0j, 0j], 0
+    while m := _TERM.match(s, pos):
+        sign, re_part, im_part, real, imag, unit = m.groups()
+        if re_part is not None:
+            value = complex(float(re_part), float(im_part))
+        elif real is not None:
+            value = complex(0.0, float(real)) if imag else complex(float(real), 0.0)
         else:
-            value = complex(num, 0.0)
-    if pos < len(s) and s[pos] in _UNITS:
-        return value, _UNITS[s[pos]], pos + 1
-    return value, 0, pos
-
-
-def _parse_paren(s: str, pos: int) -> tuple[complex, int]:
-    pos += 1  # consume '('
-    re_sign = 1.0
-    if pos < len(s) and s[pos] in "+-":
-        re_sign = -1.0 if s[pos] == "-" else 1.0
-        pos += 1
-    m = _REAL.match(s, pos)
-    if m is None:
-        raise LiteralParseError(f"expected a number at position {pos} in {s!r}")
-    re_part = re_sign * float(m.group(0))
-    pos = m.end()
-    if pos >= len(s) or s[pos] not in "+-":
-        raise LiteralParseError(f"expected '+' or '-' inside parentheses at position {pos} in {s!r}")
-    im_sign = -1.0 if s[pos] == "-" else 1.0
-    pos += 1
-    m = _REAL.match(s, pos)
-    if m is None:
-        raise LiteralParseError(f"expected a number at position {pos} in {s!r}")
-    im_part = im_sign * float(m.group(0))
-    pos = m.end()
-    if pos >= len(s) or s[pos] != "I":
-        raise LiteralParseError(f"expected 'I' at position {pos} in {s!r}")
-    pos += 1
-    if pos >= len(s) or s[pos] != ")":
-        raise LiteralParseError(f"expected ')' at position {pos} in {s!r}")
-    return complex(re_part, im_part), pos + 1
+            value = 1.0 + 0j
+        comps[_UNITS[unit]] += (-1.0 if sign == "-" else 1.0) * value
+        pos = m.end()
+    if pos < len(s):
+        raise LiteralParseError(f"cannot parse {s[pos:] if pos else body!r} in literal {text!r}")
+    try:
+        return Biquaternion(*comps)
+    except ValueError:
+        raise LiteralParseError(f"literal {text!r} leaves double range") from None
 
 
 def _format_complex(c: complex) -> str:

@@ -1,6 +1,6 @@
-"""The fused multiply-accumulate kernel, convolve built on it, the stepped
-geometric-kernel convolution, O(1)-per-term deconvolution, and the CLI edges of
-deconvolution and overflowing solutions."""
+"""``sum_products``, the plain product-and-sum loop behind convolve's direct
+sum; the stepped geometric-kernel convolution; O(1)-per-term deconvolution;
+and the CLI edges of deconvolution and overflowing solutions."""
 import json
 import random
 from importlib import resources
@@ -26,7 +26,7 @@ from helpers import comp_dist, rand_biquat, rand_conditioned
 
 
 def _loop(pairs):
-    """The reference: one product and one sum per pair, as convolve used to do."""
+    """The reference: one product and one sum per pair, written out here."""
     (a0, b0), *rest = pairs
     total = a0 * b0
     for a, b in rest:
