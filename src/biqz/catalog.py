@@ -295,6 +295,8 @@ ALL_NAMES = tuple(ROWS)
 
 def build(name: str, params: dict | None = None, as_printed: bool = False) -> CatalogEntry:
     """Build an entry by stable name; params are numbers, biquaternions or literal strings."""
+    if not isinstance(name, str):  # a list or object from a spec is not a name (nor hashable)
+        raise ValueError(f"catalog name must be a string, got {type(name).__name__} {name!r}")
     if name not in ROWS:
         raise KeyError(f"unknown catalog entry {name!r}; known: {', '.join(ALL_NAMES)}")
     row = ROWS[name]

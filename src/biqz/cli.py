@@ -101,6 +101,13 @@ def _draw_point(rng: random.Random, entry: catalog.CatalogEntry, biquat_ok: bool
 # -- subcommands ---------------------------------------------------------------
 
 
+def _series_check(entry: catalog.CatalogEntry, x, args):
+    """(series, closed form, their deviation, its budget: tail bound + tol) at x."""
+    series = transform(entry.sequence, x, eps=args.eps, max_terms=args.max_terms)
+    closed = entry.eval(x)
+    return series, closed, (series.value - closed).component_norm(), series.tail_bound + args.tol
+
+
 def cmd_eval(args) -> tuple[dict, int]:
     params = {}
     for item in args.param or []:
@@ -109,11 +116,7 @@ def cmd_eval(args) -> tuple[dict, int]:
             raise LiteralParseError(f"--param expects key=value, got {item!r}")
         params[key] = value
     entry = catalog.build(args.name, params, as_printed=args.as_printed)
-    x = parse(args.at)
-    series = transform(entry.sequence, x, eps=args.eps, max_terms=args.max_terms)
-    closed = entry.eval(x)
-    deviation = (series.value - closed).component_norm()
-    budget = series.tail_bound + args.tol
+    series, closed, deviation, budget = _series_check(entry, parse(args.at), args)
     ok = deviation <= budget
     report = _report(
         "eval",
@@ -156,11 +159,7 @@ def cmd_verify_catalog(args) -> tuple[dict, int]:
         for entry in entries:
             biquat_ok = not entry.params
             for _ in range(args.points):
-                x = _draw_point(rng, entry, biquat_ok)
-                series = transform(entry.sequence, x, eps=args.eps, max_terms=args.max_terms)
-                closed = entry.eval(x)
-                deviation = (series.value - closed).component_norm()
-                budget = series.tail_bound + args.tol
+                _, _, deviation, budget = _series_check(entry, _draw_point(rng, entry, biquat_ok), args)
                 max_dev = max(max_dev, deviation)
                 max_excess = max(max_excess, deviation - budget)
                 if deviation > budget:
@@ -259,14 +258,7 @@ def _run_recurrence_payload(payload: dict, n_terms: int, tol: float, eps: float,
     if "candidate" in payload:
         cand = _candidate_sequence(payload["candidate"], "candidate")
         rep = verify_closed_form(rec, cand, n_terms=n_terms, tol=tol)
-        results["verification"] = {
-            "max_abs_error": rep.max_abs_error,
-            "max_rel_error": rep.max_rel_error,
-            "first_failure_index": rep.first_failure_index,
-            "n_checked": rep.n_checked,
-            "tolerance": rep.tolerance,
-            "pass": rep.passed,
-        }
+        results["verification"] = {**vars(rep), "pass": rep.passed}
         ok = ok and rep.passed
     samples = x_samples if x_samples is not None else _listed(payload, "x_samples", required=False)
     checks = []
@@ -312,11 +304,11 @@ def _run_deconvolve_payload(payload: dict, tol: float) -> tuple[dict, bool]:
 
 
 def _worst_rel_gap(got: Sequence, want: Sequence, n_terms: int) -> float:
-    """max over t = 0..n_terms of |got(t) - want(t)| / max(1, |want(t)|)."""
+    """max over t = 0..n_terms of |got(t) - want(t)| / max(1, |want(t)|), NaN as inf."""
     worst = 0.0
     for t in range(n_terms + 1):
-        gap = (got.term(t) - want.term(t)).component_norm()
-        worst = max(worst, gap / max(1.0, want.term(t).component_norm()))
+        rel = (got.term(t) - want.term(t)).component_norm() / max(1.0, want.term(t).component_norm())
+        worst = max(worst, math.inf if math.isnan(rel) else rel)
     return worst
 
 

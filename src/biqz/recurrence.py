@@ -12,6 +12,7 @@ X[f_{.+m}](x) = X[f](x)*x**m - sum_{t<m} f_t * x**(m-t).
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .algebra import ZERO, Biquaternion, as_biquaternion
@@ -59,12 +60,13 @@ class LinearRecurrence:
         self.forcing = list(forcing)
         self._solution: Sequence | None = None
 
+    def _forcing_pieces(self, n: int) -> list[Biquaternion]:
+        """The pieces g_{n+k} * q_k of the relation's right side, in order."""
+        return [ft.sequence.term(n + k) * coeff
+                for ft in self.forcing for k, coeff in enumerate(ft.coeffs)]
+
     def rhs(self, n: int) -> Biquaternion:
-        total = ZERO
-        for ft in self.forcing:
-            for k, coeff in enumerate(ft.coeffs):
-                total = total + ft.sequence.term(n + k) * coeff
-        return total
+        return sum(self._forcing_pieces(n), ZERO)
 
     def solution(self) -> Sequence:
         """The forward iteration as a lazily extended sequence."""
@@ -96,19 +98,10 @@ class LinearRecurrence:
         terms), so relative errors stay meaningful for geometrically growing
         solutions, including zero-divisor pieces whose real gauge is 0.
         """
-        lhs = ZERO
-        scale = 1.0
-        for m, coeff in enumerate(self.coeffs):
-            piece = f.term(n + m) * coeff
-            scale = max(scale, piece.component_norm())
-            lhs = lhs + piece
-        rhs = ZERO
-        for ft in self.forcing:
-            for k, coeff in enumerate(ft.coeffs):
-                piece = ft.sequence.term(n + k) * coeff
-                scale = max(scale, piece.component_norm())
-                rhs = rhs + piece
-        return (lhs - rhs).component_norm(), scale
+        lhs = [f.term(n + m) * coeff for m, coeff in enumerate(self.coeffs)]
+        rhs = self._forcing_pieces(n)
+        scale = max(1.0, *map(Biquaternion.component_norm, lhs + rhs))
+        return (sum(lhs, ZERO) - sum(rhs, ZERO)).component_norm(), scale
 
 
 def iterate(rec: LinearRecurrence, n_terms: int) -> Sequence:
@@ -129,9 +122,11 @@ def transform_value(
     """X[f](x) at a complex point, solved in the transform domain.
 
     Applying the shifting rule to every term turns the relation into
-    F(x) * P(x) = B(x) with P(x) = sum p_m * x**m (a single biquaternion
-    because x is complex) and B(x) collecting initial-value boundary terms
-    plus forcing transforms; the result is B(x) * P(x)**-1.
+    F(x) * P(x) = L(x) + G(x), with P(x) = sum p_m * x**m (one biquaternion,
+    as x is complex), L(x) the shifting-rule boundary of the initial values
+    under the p_m, and G(x) the sum over forcing terms of X[g](x) * Q(x),
+    Q(x) = sum q_k * x**k, less the boundary of g under the q_k; the result is
+    (L(x) + G(x)) * P(x)**-1.
     """
     if isinstance(x, Biquaternion):
         x = x.to_complex()
@@ -140,30 +135,25 @@ def transform_value(
     if abs(x) <= sigma:
         raise OutsideROCError(f"|x| = {abs(x)} is not above the estimated radius {sigma}")
 
-    poly = ZERO
-    for m, coeff in enumerate(rec.coeffs):
-        poly = poly + coeff * x**m
+    poly = sum([coeff * x**m for m, coeff in enumerate(rec.coeffs)], ZERO)
     if not poly.is_invertible():
         raise ZeroDivisorError(f"coefficient polynomial is not invertible at x = {x}")
 
-    boundary = ZERO
-    for m in range(1, rec.order + 1):
-        for t in range(m):
-            boundary = boundary + rec.initial[t] * x ** (m - t) * rec.coeffs[m]
-
+    boundary = _shift_boundary(rec.initial.__getitem__, rec.coeffs, x)
     for ft in rec.forcing:
-        if ft.entry is not None:
-            value = ft.entry.eval(x)
-        else:
-            value = transform(ft.sequence, x, eps=eps, max_terms=max_terms).value
-        shifted = ZERO
-        for k, coeff in enumerate(ft.coeffs):
-            shifted = shifted + value * x**k * coeff
-            for t in range(k):
-                shifted = shifted - ft.sequence.term(t) * x ** (k - t) * coeff
-        boundary = boundary + shifted
-
+        value = (ft.entry.eval(x) if ft.entry is not None
+                 else transform(ft.sequence, x, eps=eps, max_terms=max_terms).value)
+        shifted = sum([value * x**k * coeff for k, coeff in enumerate(ft.coeffs)], ZERO)
+        boundary = boundary + (shifted - _shift_boundary(ft.sequence.term, ft.coeffs, x))
     return boundary * poly.inverse()
+
+
+def _shift_boundary(values, coeffs, x: complex) -> Biquaternion:
+    """sum_k sum_{t<k} values(t) * x**(k-t) * coeffs[k]: what the shifting rule
+    X[v_{.+k}](x) = X[v](x)*x**k - sum_{t<k} v_t * x**(k-t) leaves behind when
+    the shift by k carries the right coefficient coeffs[k]."""
+    return sum([values(t) * x ** (k - t) * coeff
+                for k, coeff in enumerate(coeffs) for t in range(k)], ZERO)
 
 
 @dataclass(frozen=True)
@@ -191,34 +181,25 @@ def verify_closed_form(
 
     Failures are reported, never raised.  Errors are componentwise, and
     relative errors are normalized by max(1, the largest component norm among
-    the identity's terms, or of the initial value).
+    the identity's terms, or of the initial value).  A row fails unless its
+    relative error is <= tol; a NaN one (overflow over overflow) counts as inf.
     """
     if n_terms <= rec.order:
         raise ValueError("n_terms must exceed the recurrence order")
-    max_abs = 0.0
-    max_rel = 0.0
+    rows = [(t, (candidate.term(t) - v).component_norm(), max(1.0, v.component_norm()))
+            for t, v in enumerate(rec.initial)]
+    rows += [(n, *rec.identity_gap(candidate, n)) for n in range(n_terms - rec.order + 1)]
+    max_abs = max_rel = 0.0
     first_fail: int | None = None
-    checked = 0
-
-    for t in range(rec.order):
-        gap = (candidate.term(t) - rec.initial[t]).component_norm()
-        rel = gap / max(1.0, rec.initial[t].component_norm())
-        max_abs = max(max_abs, gap)
-        max_rel = max(max_rel, rel)
-        if rel > tol and first_fail is None:
-            first_fail = t
-        checked += 1
-
-    for n in range(n_terms - rec.order + 1):
-        gap, scale = rec.identity_gap(candidate, n)
+    for index, gap, scale in rows:
         rel = gap / scale
+        if math.isnan(rel):  # an overflowed gap over an overflowed scale
+            rel = math.inf
+        if not rel <= tol and first_fail is None:
+            first_fail = index
         max_abs = max(max_abs, gap)
         max_rel = max(max_rel, rel)
-        if rel > tol and first_fail is None:
-            first_fail = n
-        checked += 1
-
-    return VerificationReport(max_abs, max_rel, first_fail, checked, tol)
+    return VerificationReport(max_abs, max_rel, first_fail, len(rows), tol)
 
 
 def deconvolve_geometric(target: Sequence, kernel_param, n_terms: int = 0) -> Sequence:

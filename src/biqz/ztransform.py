@@ -67,9 +67,7 @@ def geometric_remainder(y, n_terms: int) -> float:
     y = as_biquaternion(y)
     if n_terms <= 0:
         raise ValueError("n_terms must be positive")
-    if y.real_norm() >= 1.0:
-        raise DivergentSeriesError(f"real norm {y.real_norm()} >= 1")
-    return (ONE - y).inverse().real_norm() * y.real_norm() ** n_terms
+    return geometric_sum(y).real_norm() * y.real_norm() ** n_terms
 
 
 def transform(
