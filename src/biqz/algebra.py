@@ -67,11 +67,11 @@ class Biquaternion:
     def __setattr__(self, name, value):
         raise AttributeError("Biquaternion values are immutable")
 
-    # -- structure ---------------------------------------------------------
+    def __reduce__(self):
+        # copy and pickle rebuild through the constructor, since __setattr__ refuses
+        return Biquaternion, (self.w, self.x, self.y, self.z)
 
-    @property
-    def scalar_part(self) -> complex:
-        return self.w
+    # -- structure ---------------------------------------------------------
 
     @property
     def vector_part(self) -> "Biquaternion":
@@ -104,8 +104,11 @@ class Biquaternion:
 
     # -- ring operations ---------------------------------------------------
 
+    # the ring operations test for an exact Biquaternion operand first; scalars
+    # and subclasses take the general route
+
     def __add__(self, other):
-        o = _embed(other)
+        o = other if type(other) is Biquaternion else _embed(other)
         if o is None:
             return NotImplemented
         return _result(self.w + o.w, self.x + o.x, self.y + o.y, self.z + o.z)
@@ -113,7 +116,7 @@ class Biquaternion:
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = _embed(other)
+        o = other if type(other) is Biquaternion else _embed(other)
         if o is None:
             return NotImplemented
         return _result(self.w - o.w, self.x - o.x, self.y - o.y, self.z - o.z)
@@ -131,12 +134,13 @@ class Biquaternion:
         return self
 
     def __mul__(self, other):
-        if isinstance(other, _SCALARS):
-            if type(other) not in _SCALARS:
-                other = complex(other)  # a subclass, e.g. numpy's, may keep its own type
-            return _result(self.w * other, self.x * other, self.y * other, self.z * other)
-        if not isinstance(other, Biquaternion):
-            return NotImplemented
+        if type(other) is not Biquaternion:
+            if isinstance(other, _SCALARS):
+                if type(other) not in _SCALARS:
+                    other = complex(other)  # a subclass, e.g. numpy's, may keep its own type
+                return _result(self.w * other, self.x * other, self.y * other, self.z * other)
+            if not isinstance(other, Biquaternion):
+                return NotImplemented
         p, q = self, other
         return _result(
             p.w * q.w - p.x * q.x - p.y * q.y - p.z * q.z,
@@ -252,10 +256,11 @@ def _invertible(q: Biquaternion, cns: complex) -> bool:
     return abs(cns) > INVERTIBILITY_TOL * q.component_norm() ** 2
 
 
-_new = object.__new__
-_set_w, _set_x, _set_y, _set_z = (
-    Biquaternion.w.__set__, Biquaternion.x.__set__, Biquaternion.y.__set__, Biquaternion.z.__set__
-)
+class _Raw:
+    """Biquaternion's slot layout without its ``__setattr__``: :func:`_result`
+    fills one with plain stores, then turns it into a Biquaternion."""
+
+    __slots__ = Biquaternion.__slots__
 
 
 def _result(w: complex, x: complex, y: complex, z: complex) -> Biquaternion:
@@ -264,15 +269,19 @@ def _result(w: complex, x: complex, y: complex, z: complex) -> Biquaternion:
     Arithmetic on built-in complex components yields built-in complex, so the
     constructor's ``complex()`` coercion is skipped; its finiteness check is
     not.  A non-finite component goes through the constructor, which raises
-    its ``non-finite biquaternion component`` ValueError.
+    its ``non-finite biquaternion component`` ValueError.  The components are
+    stored into a :class:`_Raw` whose class is then set to Biquaternion, which
+    is cheaper than calling the slot descriptors' ``__set__``; the value is
+    immutable from then on.
     """
     if not (_isfinite(w) and _isfinite(x) and _isfinite(y) and _isfinite(z)):
         return Biquaternion(w, x, y, z)  # raises
-    q = _new(Biquaternion)
-    _set_w(q, w)
-    _set_x(q, x)
-    _set_y(q, y)
-    _set_z(q, z)
+    q = _Raw()
+    q.w = w
+    q.x = x
+    q.y = y
+    q.z = z
+    q.__class__ = Biquaternion
     return q
 
 

@@ -73,7 +73,9 @@ class Sequence:
             raise ValueError(f"sequence index must be a nonnegative integer, got {n!r}")
         cached = self._cache.get(n)
         if cached is None:
-            cached = as_biquaternion(self._fn(n))
+            cached = self._fn(n)
+            if type(cached) is not Biquaternion:  # term functions in biqz return Biquaternion
+                cached = as_biquaternion(cached)
             self._cache[n] = cached
         return cached
 

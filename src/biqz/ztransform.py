@@ -146,11 +146,15 @@ def transform(
         tw, tx, ty, tz = tw + aw, tx + ax, ty + ay, tz + az
         used = n + 1
         if prev_size == 0.0:
-            ratios.append(inf if size > 0.0 else 0.0)
+            ratio = inf if size > 0.0 else 0.0
         else:
-            ratios.append(size / prev_size)
+            ratio = size / prev_size
+        ratios.append(ratio)
         prev_size = size
-        if len(ratios) == _RATIO_WINDOW:
+        # the window's max is at least this ratio, and the rounded tail
+        # size*r/(1-r) does not fall as r grows, so a window can certify only
+        # where its newest ratio alone would: skip the scan otherwise
+        if ratio < 1.0 and size * ratio / (1.0 - ratio) <= eps and len(ratios) == _RATIO_WINDOW:
             r = max(ratios)
             if r < 1.0:
                 tail = size * r / (1.0 - r)

@@ -1,6 +1,8 @@
 """Core algebra: Hamilton products, conjugation, norms, inverses, exp/cos/sin."""
 import cmath
+import copy
 import math
+import pickle
 import random
 
 import pytest
@@ -15,7 +17,7 @@ from biqz import (
     exp,
     sin_seq_term,
 )
-from biqz.algebra import i, j, k
+from biqz.algebra import _result, i, j, k
 
 from helpers import (
     brute_mul,
@@ -380,3 +382,86 @@ class TestValueSemantics:
         assert i.commutes_with(3 + 2j)
         q = rand_biquat(random.Random(29))
         assert q.commutes_with(q * q + 2 * q - ONE)
+
+
+class TestResultConstruction:
+    """Values built by ``_result`` and by the exact-type fast path of the ring
+    operations behave like constructor-built ones."""
+
+    @staticmethod
+    def _built():
+        p = Biquaternion(1 + 2j, -3, 0.5j, 4 - 1j)
+        q = Biquaternion(-2, 1j, 3 + 3j, -0.25)
+        return [p * q, p + q, p - q, -p, p.conj(), p * 2.5, 2j * p, p / 4, p.inverse(), p**3]
+
+    def test_exact_type(self):
+        for v in self._built():
+            assert type(v) is Biquaternion
+
+    def test_immutable(self):
+        for v in self._built():
+            with pytest.raises(AttributeError):
+                v.w = 5
+            with pytest.raises(AttributeError):
+                v.extra = 1
+
+    def test_equality_and_hash_match_constructor(self):
+        for v in self._built():
+            twin = Biquaternion(v.w, v.x, v.y, v.z)
+            assert v == twin and twin == v
+            assert hash(v) == hash(twin)
+            assert {v: 1}[twin] == 1
+
+    def test_copy_and_pickle_round_trip(self):
+        for v in self._built() + [Biquaternion(1, 2, 3, 4)]:
+            for twin in (copy.copy(v), copy.deepcopy(v), pickle.loads(pickle.dumps(v))):
+                assert type(twin) is Biquaternion
+                assert twin == v and hash(twin) == hash(v)
+                with pytest.raises(AttributeError):
+                    twin.x = 0
+
+    def test_non_finite_raises_constructor_error(self):
+        big = Biquaternion(1e200, 1e200)
+        for op in (lambda: big * big, lambda: big * 1e200, lambda: big / 1e-200):
+            with pytest.raises(ValueError, match="non-finite biquaternion component"):
+                op()
+        with pytest.raises(ValueError, match="non-finite biquaternion component"):
+            _result(complex(float("nan"), 0.0), 0j, 0j, 0j)
+
+    def test_subclass_operand_takes_general_path(self):
+        class Tagged(Biquaternion):
+            __slots__ = ()
+
+        rng = random.Random(41)
+        for _ in range(20):
+            p, q = rand_biquat(rng, 2.0), rand_biquat(rng, 2.0)
+            t = Tagged(q.w, q.x, q.y, q.z)
+            for got, want in ((p * t, p * q), (t * p, q * p), (p + t, p + q),
+                              (t + p, q + p), (p - t, p - q), (t - p, q - p)):
+                assert type(got) is Biquaternion
+                assert got == want
+
+    def test_scalar_subclass_operands_take_general_path(self):
+        class Real(float):
+            def __mul__(self, other):
+                return Real(float(self) * other) if isinstance(other, float) else NotImplemented
+
+        class Cplx(complex):
+            pass
+
+        q = Biquaternion(1 + 2j, 3, -1j, 0.5)
+        for scalar in (Real(2.0), Cplx(2.0), 2):
+            for got in (q * scalar, scalar * q, q + scalar, scalar + q, q - scalar, q / scalar):
+                assert type(got) is Biquaternion
+                assert all(type(c) is complex for c in (got.w, got.x, got.y, got.z))
+            assert q * scalar == q * 2.0 and scalar * q == 2.0 * q
+            assert q + scalar == q + 2.0 and q - scalar == q - 2.0
+
+    def test_numpy_scalars_take_general_path(self):
+        np = pytest.importorskip("numpy")
+        q = Biquaternion(1 + 2j, 3, -1j, 0.5)
+        for scalar in (np.float64(2.0), np.complex128(2.0)):
+            for got in (q * scalar, q + scalar, q - scalar, q / scalar):
+                assert type(got) is Biquaternion
+                assert all(type(c) is complex for c in (got.w, got.x, got.y, got.z))
+            assert q * scalar == q * 2.0 and q + scalar == q + 2.0

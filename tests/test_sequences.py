@@ -1,7 +1,7 @@
 """Sequence plumbing: memoization, builders, shifts."""
 import pytest
 
-from biqz import ONE, ZERO, Biquaternion, Sequence, advance, delay
+from biqz import ONE, ZERO, Biquaternion, Sequence, advance, catalog, delay
 from biqz.algebra import i, j
 
 
@@ -42,6 +42,32 @@ class TestSequence:
     def test_prefix(self):
         seq = Sequence(lambda n: n)
         assert seq.prefix(3) == [ZERO, ONE, Biquaternion(2)]
+
+    def test_stores_biquaternion_results_as_returned(self):
+        value = Biquaternion(1, 2, 3, 4)
+        assert Sequence(lambda n: value).term(5) is value
+
+    def test_embeds_scalar_results(self):
+        for raw in (3, 3.0, 3 + 0j, True):
+            got = Sequence(lambda n: raw).term(0)
+            assert type(got) is Biquaternion and got == Biquaternion(raw)
+        ramp = catalog.ramp_n().sequence
+        assert [type(t) for t in ramp.prefix(3)] == [Biquaternion] * 3
+        assert ramp.prefix(3) == [ZERO, ONE, Biquaternion(2)]
+
+    def test_subclass_results_are_embedded_as_they_are(self):
+        class Tagged(Biquaternion):
+            __slots__ = ()
+
+        value = Tagged(1, 2)
+        assert Sequence(lambda n: value).term(0) is value
+
+    def test_rejects_non_numeric_results(self):
+        seq = Sequence(lambda n: "1 + i")
+        with pytest.raises(TypeError):
+            seq.term(0)
+        with pytest.raises(TypeError):
+            Sequence(lambda n: None).term(0)
 
 
 class TestShifts:
