@@ -69,7 +69,7 @@ class Biquaternion:
 
     def __reduce__(self):
         # copy and pickle rebuild through the constructor, since __setattr__ refuses
-        return Biquaternion, (self.w, self.x, self.y, self.z)
+        return type(self), (self.w, self.x, self.y, self.z)
 
     # -- structure ---------------------------------------------------------
 
@@ -103,9 +103,6 @@ class Biquaternion:
         return self.w
 
     # -- ring operations ---------------------------------------------------
-
-    # the ring operations test for an exact Biquaternion operand first; scalars
-    # and subclasses take the general route
 
     def __add__(self, other):
         o = other if type(other) is Biquaternion else _embed(other)

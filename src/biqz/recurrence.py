@@ -59,20 +59,11 @@ class LinearRecurrence:
             )
         self.forcing = list(forcing)
         self._solution: Sequence | None = None
-        self._pieces: dict[int, list[Biquaternion]] = {}
 
     def _forcing_pieces(self, n: int) -> list[Biquaternion]:
-        """The pieces g_{n+k} * q_k of the relation's right side, in order.
-
-        Memoized per n: iteration (:meth:`rhs`) and verification
-        (:meth:`identity_gap`) read the same products.
-        """
-        pieces = self._pieces.get(n)
-        if pieces is None:
-            pieces = [ft.sequence.term(n + k) * coeff
-                      for ft in self.forcing for k, coeff in enumerate(ft.coeffs)]
-            self._pieces[n] = pieces
-        return pieces
+        """The pieces g_{n+k} * q_k of the relation's right side, in order."""
+        return [ft.sequence.term(n + k) * coeff
+                for ft in self.forcing for k, coeff in enumerate(ft.coeffs)]
 
     def rhs(self, n: int) -> Biquaternion:
         return sum(self._forcing_pieces(n), ZERO)

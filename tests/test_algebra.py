@@ -32,6 +32,12 @@ from helpers import (
 I = 1j  # the commuting complex unit
 
 
+class Tagged(Biquaternion):
+    """A Biquaternion subclass; module level so that pickle can find it."""
+
+    __slots__ = ()
+
+
 class TestHamiltonProduct:
     def test_unit_table(self):
         assert i * j == k and j * k == i and k * i == j
@@ -413,9 +419,9 @@ class TestResultConstruction:
             assert {v: 1}[twin] == 1
 
     def test_copy_and_pickle_round_trip(self):
-        for v in self._built() + [Biquaternion(1, 2, 3, 4)]:
+        for v in self._built() + [Biquaternion(1, 2, 3, 4), Tagged(1, 2j, 3, 4)]:
             for twin in (copy.copy(v), copy.deepcopy(v), pickle.loads(pickle.dumps(v))):
-                assert type(twin) is Biquaternion
+                assert type(twin) is type(v)
                 assert twin == v and hash(twin) == hash(v)
                 with pytest.raises(AttributeError):
                     twin.x = 0
@@ -429,9 +435,6 @@ class TestResultConstruction:
             _result(complex(float("nan"), 0.0), 0j, 0j, 0j)
 
     def test_subclass_operand_takes_general_path(self):
-        class Tagged(Biquaternion):
-            __slots__ = ()
-
         rng = random.Random(41)
         for _ in range(20):
             p, q = rand_biquat(rng, 2.0), rand_biquat(rng, 2.0)
