@@ -200,14 +200,9 @@ class Biquaternion:
         return math.sqrt(abs(self.complex_norm_sq()))
 
     def component_norm(self) -> float:
-        """Euclidean length of the eight real components."""
+        """Euclidean length of the eight real components, with no overflow on the way."""
         w, x, y, z = self.w, self.x, self.y, self.z
-        return math.sqrt(
-            w.real * w.real + w.imag * w.imag
-            + x.real * x.real + x.imag * x.imag
-            + y.real * y.real + y.imag * y.imag
-            + z.real * z.real + z.imag * z.imag
-        )
+        return math.hypot(w.real, w.imag, x.real, x.imag, y.real, y.imag, z.real, z.imag)
 
     def __abs__(self) -> float:
         return self.real_norm()
@@ -250,7 +245,8 @@ class Biquaternion:
 
 def _invertible(q: Biquaternion, cns: complex) -> bool:
     """The invertibility test, given q's complex norm cns = q * conj(q)."""
-    return abs(cns) > INVERTIBILITY_TOL * q.component_norm() ** 2
+    size = q.component_norm()  # squared by *, as float ** raises OverflowError where * gives inf
+    return abs(cns) > INVERTIBILITY_TOL * (size * size)
 
 
 class _Raw:

@@ -33,6 +33,7 @@ from .parsing import format_literal, parse
 from .recurrence import (
     ForcingTerm,
     LinearRecurrence,
+    _relative,
     deconvolve_geometric,
     iterate,
     transform_value,
@@ -70,9 +71,18 @@ def _report(command, inputs, tolerances, results, ok, summary, errors=()) -> dic
     }
 
 
+def _strict(value):
+    """value with each non-finite float as the string float() reads back: inf, -inf or nan."""
+    if isinstance(value, dict):
+        return {key: _strict(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_strict(item) for item in value]
+    return repr(value) if isinstance(value, float) and not math.isfinite(value) else value
+
+
 def _emit(report: dict, as_json: bool) -> None:
     if as_json:
-        print(json.dumps(report, indent=2, sort_keys=True))
+        print(json.dumps(_strict(report), indent=2, sort_keys=True, allow_nan=False))
         return
     print(f"{report['command']}: {'PASS' if report['pass'] else 'FAIL'}")
     for err in report["errors"]:
@@ -266,7 +276,7 @@ def _run_recurrence_payload(payload: dict, n_terms: int, tol: float, eps: float,
         x = parse(lit).to_complex()
         solved = transform_value(rec, x, eps=eps, max_terms=max_terms)
         series = transform(seq, x, eps=eps, max_terms=max_terms).value
-        rel = (solved - series).component_norm() / max(1.0, series.component_norm())
+        rel = _relative((solved - series).component_norm(), series.component_norm())
         passed = rel <= max(tol, 1e-9)
         checks.append(
             {
@@ -305,11 +315,8 @@ def _run_deconvolve_payload(payload: dict, tol: float) -> tuple[dict, bool]:
 
 def _worst_rel_gap(got: Sequence, want: Sequence, n_terms: int) -> float:
     """max over t = 0..n_terms of |got(t) - want(t)| / max(1, |want(t)|), NaN as inf."""
-    worst = 0.0
-    for t in range(n_terms + 1):
-        rel = (got.term(t) - want.term(t)).component_norm() / max(1.0, want.term(t).component_norm())
-        worst = max(worst, math.inf if math.isnan(rel) else rel)
-    return worst
+    return max(_relative((got.term(t) - want.term(t)).component_norm(), want.term(t).component_norm())
+               for t in range(n_terms + 1))
 
 
 def cmd_recurrence(args) -> tuple[dict, int]:

@@ -186,20 +186,19 @@ def verify_closed_form(
     """
     if n_terms <= rec.order:
         raise ValueError("n_terms must exceed the recurrence order")
-    rows = [(t, (candidate.term(t) - v).component_norm(), max(1.0, v.component_norm()))
+    rows = [(t, (candidate.term(t) - v).component_norm(), v.component_norm())
             for t, v in enumerate(rec.initial)]
     rows += [(n, *rec.identity_gap(candidate, n)) for n in range(n_terms - rec.order + 1)]
-    max_abs = max_rel = 0.0
-    first_fail: int | None = None
-    for index, gap, scale in rows:
-        rel = gap / scale
-        if math.isnan(rel):  # an overflowed gap over an overflowed scale
-            rel = math.inf
-        if not rel <= tol and first_fail is None:
-            first_fail = index
-        max_abs = max(max_abs, gap)
-        max_rel = max(max_rel, rel)
-    return VerificationReport(max_abs, max_rel, first_fail, len(rows), tol)
+    rels = [_relative(gap, scale) for _, gap, scale in rows]
+    first_fail = next((row[0] for row, rel in zip(rows, rels) if not rel <= tol), None)
+    max_abs = max(gap for _, gap, _ in rows)
+    return VerificationReport(max_abs, max(rels), first_fail, len(rows), tol)
+
+
+def _relative(gap: float, size: float) -> float:
+    """gap / max(1, size); NaN, an overflowed gap over an overflowed size, reads inf."""
+    rel = gap / max(1.0, size)
+    return math.inf if math.isnan(rel) else rel
 
 
 def deconvolve_geometric(target: Sequence, kernel_param, n_terms: int = 0) -> Sequence:

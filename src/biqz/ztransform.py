@@ -17,7 +17,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from cmath import isfinite
-from math import inf, isinf, sqrt
+from math import hypot, inf, isinf
 
 from .algebra import ONE, Biquaternion, _result, as_biquaternion, root_magnitudes, sum_products
 from .errors import DivergentSeriesError, NoConvergenceError, OutsideROCError
@@ -130,12 +130,7 @@ def transform(
         ax = pw * qx + px * qw + py * qz - pz * qy
         ay = pw * qy + py * qw + pz * qx - px * qz
         az = pw * qz + pz * qw + px * qy - py * qx
-        size = sqrt(
-            aw.real * aw.real + aw.imag * aw.imag
-            + ax.real * ax.real + ax.imag * ax.imag
-            + ay.real * ay.real + ay.imag * ay.imag
-            + az.real * az.real + az.imag * az.imag
-        )
+        size = hypot(aw.real, aw.imag, ax.real, ax.imag, ay.real, ay.imag, az.real, az.imag)
         # also true when size is inf or NaN; only then are the components inspected
         if not size <= _DIVERGENCE_BAIL:
             if not (isfinite(aw) and isfinite(ax) and isfinite(ay) and isfinite(az)):

@@ -1,9 +1,12 @@
-"""Checks whose sizes overflow, and catalog names that are not strings.
+"""Checks on values whose squared components overflow, and catalog names that
+are not strings.
 
-A component norm overflows to inf on finite components above about 1e154, so
-a gap and its scale can both be inf and their ratio NaN.  Such a ratio must
-fail a check and report inf, not slip past ``rel > tol`` or ``max()``.  A spec
-whose ``catalog`` value is a list or an object exits 2 naming the value.
+The component norm is ``math.hypot`` over the eight floats, so it stays finite
+on components far above 1e154, where their squares overflow; a check there
+reports its true relative error.  Only a length above the largest double reads
+inf, so a gap and its scale can both be inf and their ratio NaN; such a ratio
+must fail a check and report inf, not slip past ``rel > tol`` or ``max()``.  A
+spec whose ``catalog`` value is a list or an object exits 2 naming the value.
 ``geometric_remainder`` reads ``geometric_sum`` and keeps its error order."""
 import json
 import math
@@ -28,7 +31,7 @@ def _run(capsys, tmp_path, payload):
 
 class TestVerifyOverflow:
     def _rec(self):
-        # f(n+1) = 1e10 f(n): f(n) = 1e10**n, whose norm overflows past n = 15
+        # f(n+1) = 1e10 f(n): f(n) = 1e10**n, whose squares overflow past n = 15
         return LinearRecurrence([-Biquaternion(1e10), ONE], [ONE])
 
     def test_doubled_tail_fails(self):
@@ -38,11 +41,11 @@ class TestVerifyOverflow:
         rep = verify_closed_form(rec, cand, n_terms=30)
         assert not rep.passed
         assert rep.first_failure_index == 19  # the identity at n = 19 reads f(20)
-        assert rep.max_rel_error == math.inf
-        assert rep.max_abs_error == math.inf
+        assert rep.max_rel_error == pytest.approx(0.5)  # gap f(20) over scale 2 f(20)
+        assert rep.max_abs_error == pytest.approx(1e200)
 
     def test_exact_solution_still_passes(self):
-        # gap 0 over an overflowed scale is 0, not NaN
+        # gap 0 over a huge scale is 0
         rec = self._rec()
         rep = verify_closed_form(rec, rec.solution(), n_terms=30)
         assert rep.passed
@@ -62,7 +65,7 @@ class TestVerifyOverflow:
     def test_cli_reports_inf(self, capsys, tmp_path):
         payload = {
             # f(n) = 1e7**n stays finite over the 40 iterated terms; the
-            # candidate doubles it from n = 25, where its norm overflows
+            # candidate doubles it from n = 25, where its squares overflow
             "coeffs": ["-1e7", "1"],
             "initial": ["1"],
             "candidate": {"geometric": [{"coeff": "1", "ratio": "1e7"},
@@ -72,7 +75,7 @@ class TestVerifyOverflow:
         assert code == 1
         ver = report["results"]["verification"]
         assert ver["pass"] is False
-        assert ver["max_rel_error"] == math.inf
+        assert ver["max_rel_error"] == pytest.approx(0.5)
         assert ver["first_failure_index"] == 24
         assert set(ver) == {"max_abs_error", "max_rel_error", "first_failure_index",
                             "n_checked", "tolerance", "pass"}
@@ -86,12 +89,12 @@ class TestDeconvolveOverflow:
         }
 
     def test_doubled_tail_fails(self, capsys, tmp_path):
-        # the candidate doubles the solution 1e10**t from t = 20, where both
-        # the gap and the candidate's norm overflow
+        # the candidate doubles the solution 1e10**t from t = 20, where the
+        # squares of both the gap and the candidate overflow
         code, report = _run(capsys, tmp_path, self._payload(
             [{"coeff": "1", "ratio": "1e10"}, {"coeff": "1e200", "ratio": "1e10", "delay": 20}]))
         assert code == 1
-        assert report["results"]["candidate_rel_error"] == math.inf
+        assert report["results"]["candidate_rel_error"] == pytest.approx(0.5)
         assert report["results"]["roundtrip_rel_error"] == 0.0
 
     def test_exact_candidate_passes(self, capsys, tmp_path):
