@@ -112,10 +112,15 @@ def _draw_point(rng: random.Random, entry: catalog.CatalogEntry, biquat_ok: bool
 
 
 def _series_check(entry: catalog.CatalogEntry, x, args):
-    """(series, closed form, their deviation, its budget: tail bound + tol) at x."""
+    """(series, closed form, their deviation, its budget: tail bound + tol,
+    pass) at x.  The check passes when the series is certified and the
+    deviation is within the budget: an uncertified series, one that spent
+    ``max_terms``, has an inf budget that any deviation would meet."""
     series = transform(entry.sequence, x, eps=args.eps, max_terms=args.max_terms)
     closed = entry.eval(x)
-    return series, closed, (series.value - closed).component_norm(), series.tail_bound + args.tol
+    deviation = (series.value - closed).component_norm()
+    budget = series.tail_bound + args.tol
+    return series, closed, deviation, budget, series.certified and deviation <= budget
 
 
 def cmd_eval(args) -> tuple[dict, int]:
@@ -126,8 +131,7 @@ def cmd_eval(args) -> tuple[dict, int]:
             raise LiteralParseError(f"--param expects key=value, got {item!r}")
         params[key] = value
     entry = catalog.build(args.name, params, as_printed=args.as_printed)
-    series, closed, deviation, budget = _series_check(entry, parse(args.at), args)
-    ok = deviation <= budget
+    series, closed, deviation, budget, ok = _series_check(entry, parse(args.at), args)
     report = _report(
         "eval",
         {"name": args.name, "params": params, "at": args.at, "as_printed": args.as_printed},
@@ -169,11 +173,11 @@ def cmd_verify_catalog(args) -> tuple[dict, int]:
         for entry in entries:
             biquat_ok = not entry.params
             for _ in range(args.points):
-                _, _, deviation, budget = _series_check(entry, _draw_point(rng, entry, biquat_ok), args)
+                _, _, deviation, budget, passed = _series_check(
+                    entry, _draw_point(rng, entry, biquat_ok), args)
                 max_dev = max(max_dev, deviation)
                 max_excess = max(max_excess, deviation - budget)
-                if deviation > budget:
-                    ok = False
+                ok = ok and passed
         row_reports.append(
             {
                 "row": name,
@@ -314,7 +318,8 @@ def _run_deconvolve_payload(payload: dict, tol: float) -> tuple[dict, bool]:
 
 
 def _worst_rel_gap(got: Sequence, want: Sequence, n_terms: int) -> float:
-    """max over t = 0..n_terms of |got(t) - want(t)| / max(1, |want(t)|), NaN as inf."""
+    """max over t = 0..n_terms of |got(t) - want(t)| / max(1, |want(t)|), read by
+    ``_relative``: NaN, or a nonzero gap over an overflowed size, as inf."""
     return max(_relative((got.term(t) - want.term(t)).component_norm(), want.term(t).component_norm())
                for t in range(n_terms + 1))
 

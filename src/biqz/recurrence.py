@@ -182,7 +182,8 @@ def verify_closed_form(
     Failures are reported, never raised.  Errors are componentwise, and
     relative errors are normalized by max(1, the largest component norm among
     the identity's terms, or of the initial value).  A row fails unless its
-    relative error is <= tol; a NaN one (overflow over overflow) counts as inf.
+    relative error is <= tol; a NaN one (overflow over overflow) counts as inf,
+    and so does a nonzero gap over an overflowed scale.
     """
     if n_terms <= rec.order:
         raise ValueError("n_terms must exceed the recurrence order")
@@ -196,9 +197,11 @@ def verify_closed_form(
 
 
 def _relative(gap: float, size: float) -> float:
-    """gap / max(1, size); NaN, an overflowed gap over an overflowed size, reads inf."""
+    """gap / max(1, size); NaN, an overflowed gap over an overflowed size,
+    reads inf, and so does a nonzero gap over an overflowed size, whose
+    quotient 0 would hide a gap of any finite length."""
     rel = gap / max(1.0, size)
-    return math.inf if math.isnan(rel) else rel
+    return math.inf if math.isnan(rel) or (gap > 0.0 and math.isinf(size)) else rel
 
 
 def deconvolve_geometric(target: Sequence, kernel_param, n_terms: int = 0) -> Sequence:

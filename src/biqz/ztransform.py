@@ -17,7 +17,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from cmath import isfinite
-from math import hypot, inf, isinf
+from math import copysign, hypot, inf, isinf
 
 from .algebra import ONE, Biquaternion, _result, as_biquaternion, root_magnitudes, sum_products
 from .errors import DivergentSeriesError, NoConvergenceError, OutsideROCError
@@ -94,6 +94,14 @@ def transform(
     product that leaves double range ends the series, a finite product whose
     size overflows raises NoConvergenceError, and a power x**-n that leaves
     double range raises ValueError.
+
+    At a complex point (x**-1 has a zero vector part) x**-n stays a complex
+    number: each term is f_n scaled by it, and each power step is one
+    complex product.  The full products differ from these only in the sign
+    of parts that are exactly zero, which the sizes ignore and a running sum
+    free of -0.0 parts never shows (+0 + -0 == +0); so an f_0 with a -0.0
+    part takes the full products, and a power that leaves double range is
+    replayed as Biquaternion products to raise their exact error.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
@@ -113,6 +121,10 @@ def transform(
     ratios: deque[float] = deque(maxlen=_RATIO_WINDOW)
     iw, ix, iy, iz = x_inv.w, x_inv.x, x_inv.y, x_inv.z
     qw, qx, qy, qz = iw, ix, iy, iz  # x**-n
+    # at a complex point only qw is stepped; qx, qy and qz stay unread
+    scaled = ix == iy == iz == 0 and not any(
+        c == 0.0 and copysign(1.0, c) < 0.0 for c in first.components()
+    )
     term = f.term
     used = 1
 
@@ -126,10 +138,13 @@ def transform(
             break
         pw, px, py, pz = p.w, p.x, p.y, p.z
         # the term f_n * x**-n
-        aw = pw * qw - px * qx - py * qy - pz * qz
-        ax = pw * qx + px * qw + py * qz - pz * qy
-        ay = pw * qy + py * qw + pz * qx - px * qz
-        az = pw * qz + pz * qw + px * qy - py * qx
+        if scaled:
+            aw, ax, ay, az = pw * qw, px * qw, py * qw, pz * qw
+        else:
+            aw = pw * qw - px * qx - py * qy - pz * qz
+            ax = pw * qx + px * qw + py * qz - pz * qy
+            ay = pw * qy + py * qw + pz * qx - px * qz
+            az = pw * qz + pz * qw + px * qy - py * qx
         size = hypot(aw.real, aw.imag, ax.real, ax.imag, ay.real, ay.imag, az.real, az.imag)
         # also true when size is inf or NaN; only then are the components inspected
         if not size <= _DIVERGENCE_BAIL:
@@ -155,14 +170,23 @@ def transform(
                 tail = size * r / (1.0 - r)
                 if tail <= eps:
                     return TransformValue(_result(tw, tx, ty, tz), n + 1, tail)
-        qw, qx, qy, qz = (
-            qw * iw - qx * ix - qy * iy - qz * iz,
-            qw * ix + qx * iw + qy * iz - qz * iy,
-            qw * iy + qy * iw + qz * ix - qx * iz,
-            qw * iz + qz * iw + qx * iy - qy * ix,
-        )
-        if not (isfinite(qw) and isfinite(qx) and isfinite(qy) and isfinite(qz)):
-            _result(qw, qx, qy, qz)  # x**-n left double range: raises ValueError
+        if scaled:
+            qw = qw * iw
+            if not isfinite(qw):
+                # x**-n left double range: the products' error shows their
+                # zero parts' signs, so replay them, which raises ValueError
+                power = x_inv
+                for _ in range(n):
+                    power = power * x_inv
+        else:
+            qw, qx, qy, qz = (
+                qw * iw - qx * ix - qy * iy - qz * iz,
+                qw * ix + qx * iw + qy * iz - qz * iy,
+                qw * iy + qy * iw + qz * ix - qx * iz,
+                qw * iz + qz * iw + qx * iy - qy * ix,
+            )
+            if not (isfinite(qw) and isfinite(qx) and isfinite(qy) and isfinite(qz)):
+                _result(qw, qx, qy, qz)  # x**-n left double range: raises ValueError
 
     total = _result(tw, tx, ty, tz)
     if len(ratios) == _RATIO_WINDOW:

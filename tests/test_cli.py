@@ -86,6 +86,12 @@ class TestVerifyCatalog:
         assert code == 0
         assert len(report["results"]["rows"]) == 1
 
+    def test_uncertified_series_fail_their_rows(self, capsys):
+        # 5 terms never fill the 8-ratio window, so every series is uncertified
+        code, report = run_json(capsys, "verify-catalog", "--rows", "const_one,pow_p", "--max-terms", "5")
+        assert code == 1
+        assert [r["pass"] for r in report["results"]["rows"]] == [False, False]
+
     def test_as_printed_fails_only_weighted_geometric_row(self, capsys):
         code, report = run_json(
             capsys, "verify-catalog", "--points", "4", "--seed", "3", "--as-printed"

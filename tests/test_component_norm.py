@@ -68,12 +68,22 @@ class TestRelativeErrors:
         assert rep.first_failure_index == 2
         assert rep.max_rel_error == math.inf
 
+    def test_finite_gap_over_inf_scale_reads_inf(self):
+        # the scale's length overflows, the gap's (about 1.4e308) does not
+        big = complex(1e308, 1e308)
+        q = Biquaternion(big, big, big, big)
+        rec = LinearRecurrence([-ONE, ONE], [q])
+        rep = verify_closed_form(rec, Sequence(lambda n: q if n < 3 else q * 0.5), 6)
+        assert not rep.passed
+        assert rep.first_failure_index == 2
+        assert rep.max_rel_error == math.inf
+
 
 class TestStrictJson:
     def test_uncertified_eval_writes_inf_as_a_string(self, capsys):
         code, report = _strict_json(
             capsys, ["eval", "pow_p", "--param", "p=0.99", "--at", "1", "--max-terms", "5", "--json"])
-        assert code == 0
+        assert code == 1
         results = report["results"]
         assert results["tail_bound"] == results["budget"] == "inf"
         assert float(results["tail_bound"]) == math.inf

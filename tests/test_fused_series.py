@@ -54,6 +54,14 @@ def _signed_zeros(rng: random.Random) -> Biquaternion:
     return Biquaternion(*(complex(part(), part()) for _ in range(4)))
 
 
+# points whose vector part is zero, some of it -0.0, with signed-zero scalar parts
+COMPLEX_POINTS = [
+    complex(0.0, 3.0), complex(-0.0, 3.0), complex(2.5, -0.0), complex(-2.5, -0.0), complex(-0.0, -2.0),
+    Biquaternion(2, -0.0, complex(0.0, -0.0), 0j),
+    Biquaternion(complex(-0.0, -1.5), complex(-0.0, -0.0), -0.0, complex(0.0, -0.0)),
+]
+
+
 def _smuggled(w=0j, x=0j, y=0j, z=0j) -> Biquaternion:
     """A value built around the constructor, so it may hold non-finite components."""
     q = object.__new__(Biquaternion)
@@ -87,15 +95,35 @@ class TestFusedLoopMatchesReference:
     def test_signed_zero_terms(self, seed):
         rng = random.Random(200 + seed)
         terms = [_signed_zeros(rng) for _ in range(40)]
-        for x in (2.0, -2.0, complex(-0.0, 3.0), parse("1.5-0.5Ii+0.25k"), _signed_zeros(rng) + 4.0):
-            _same(Sequence.from_terms(terms), Sequence.from_terms(terms), x)
+        for x in (2.0, -2.0, parse("1.5-0.5Ii+0.25k"), _signed_zeros(rng) + 4.0, *COMPLEX_POINTS):
+            for max_terms in (5, 12, 4096):
+                _same(Sequence.from_terms(terms), Sequence.from_terms(terms), x, max_terms=max_terms)
 
     def test_all_zero_and_negative_zero_sequences(self):
         neg = Biquaternion(complex(-0.0, -0.0), complex(-0.0, -0.0), complex(-0.0, -0.0), complex(-0.0, -0.0))
-        for first in (ZERO, neg, ONE):
-            for x in (3.0, -3.0, parse("-0.0+2k")):
+        # one -0.0 part among nonzero ones is enough to take the full products
+        one_neg = Biquaternion(1.0, complex(2.0, -0.0), -1j, 0.5)
+        for first in (ZERO, neg, ONE, one_neg):
+            for x in (3.0, -3.0, parse("-0.0+2k"), *COMPLEX_POINTS):
                 got = _same(Sequence.from_terms([first], neg), Sequence.from_terms([first], neg), x)
                 assert got[0] == "value"
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_signed_zero_sequences_at_complex_points(self, seed):
+        # -0.0 parts in f_0, in later terms and in the point, where a scaled
+        # term and the full product differ only in the sign of a zero part
+        rng = random.Random(300 + seed)
+
+        def signed_zero():
+            return complex(rng.choice([0.0, -0.0]), rng.choice([0.0, -0.0]))
+
+        for _ in range(50):
+            terms = [_signed_zeros(rng) for _ in range(rng.randint(1, 30))]
+            w = complex(rng.choice([0.0, -0.0, 1.5, -2.0, 3.0, 5.0, -4.0]), rng.choice([0.0, -0.0, 1.0, -2.5]))
+            x = Biquaternion(w, signed_zero(), signed_zero(), signed_zero())
+            tail = _signed_zeros(rng)
+            max_terms = rng.choice([5, 12, 4096])
+            _same(Sequence.from_terms(terms, tail), Sequence.from_terms(terms, tail), x, max_terms=max_terms)
 
     @pytest.mark.parametrize("x", ["3", "2.5", "(2+1I)", "3+0.5i", "2.2Ik+2.5"])
     def test_powers_of_one_plus_ik(self, x):
@@ -187,11 +215,15 @@ class TestSeriesOverflowSites:
         assert got[:2] == ("raised", NoConvergenceError)
 
     def test_overflowing_power_of_x_raises(self):
-        # zero terms never reach the bail, but x**-4 = 1e400 leaves range
+        # zero terms never reach the bail, but x**-4 = 1e400 leaves range; at
+        # 1e-100 - 0I, x**-4 scaled as a complex number is inf - 0I, while
+        # the products give inf + 0I: the message must be the products'
         f = [ONE]
-        got = _same(Sequence.from_terms(f), Sequence.from_terms(f), 1e-100)
-        assert got[:2] == ("raised", ValueError)
-        assert "non-finite" in got[2]
+        for x in (1e-100, complex(1e-100, -0.0), complex(-1e-100, -0.0), complex(-0.0, 1e-100),
+                  Biquaternion(1e-100, -0.0, complex(0.0, -0.0)), parse("1e-100+1e-120i")):
+            got = _same(Sequence.from_terms(f), Sequence.from_terms(f), x)
+            assert got[:2] == ("raised", ValueError)
+            assert "non-finite" in got[2]
 
 
 class TestArithmeticOverflow:
