@@ -44,6 +44,7 @@ from .ztransform import DEFAULT_EPS, DEFAULT_MAX_TERMS, convolve, transform
 
 _DEFAULT_VERIFY_TOL = 1e-10
 _DEFAULT_REC_TOL = 1e-9
+_DECONVOLVE_TOL = 1e-10
 
 
 # -- value / report plumbing -------------------------------------------------
@@ -53,22 +54,8 @@ def _value_json(q: Biquaternion) -> dict:
     return {"literal": format_literal(q), "components": list(q.components())}
 
 
-def _error_name(exc: Exception) -> str:
-    return type(exc).__name__.removesuffix("Error")
-
-
-def _report(command, inputs, tolerances, results, ok, summary, errors=()) -> dict:
-    return {
-        "tool": "biqz",
-        "version": __version__,
-        "command": command,
-        "inputs": inputs,
-        "tolerances": tolerances,
-        "results": results,
-        "errors": list(errors),
-        "pass": ok,
-        "summary": summary,
-    }
+def _tolerances(args) -> dict:
+    return {"eps": args.eps, "tol": args.tol, "max_terms": args.max_terms}
 
 
 def _strict(value):
@@ -108,22 +95,22 @@ def _draw_point(rng: random.Random, entry: catalog.CatalogEntry, biquat_ok: bool
     return complex(radius * math.cos(theta), radius * math.sin(theta))
 
 
-# -- subcommands ---------------------------------------------------------------
+# -- subcommands: each returns (inputs, tolerances, results, ok, summary) -----
 
 
 def _series_check(entry: catalog.CatalogEntry, x, args):
     """(series, closed form, their deviation, its budget: tail bound + tol,
-    pass) at x.  The check passes when the series is certified and the
-    deviation is within the budget: an uncertified series, one that spent
-    ``max_terms``, has an inf budget that any deviation would meet."""
+    excess of the deviation over the budget) at x.  The check passes iff the
+    excess is <= 0.  An uncertified series, one that spent ``max_terms``, has
+    an inf budget that any deviation would meet, so its excess is inf."""
     series = transform(entry.sequence, x, eps=args.eps, max_terms=args.max_terms)
     closed = entry.eval(x)
     deviation = (series.value - closed).component_norm()
     budget = series.tail_bound + args.tol
-    return series, closed, deviation, budget, series.certified and deviation <= budget
+    return series, closed, deviation, budget, deviation - budget if series.certified else math.inf
 
 
-def cmd_eval(args) -> tuple[dict, int]:
+def cmd_eval(args) -> tuple[dict, dict, dict, bool, list]:
     params = {}
     for item in args.param or []:
         key, sep, value = item.partition("=")
@@ -131,11 +118,10 @@ def cmd_eval(args) -> tuple[dict, int]:
             raise LiteralParseError(f"--param expects key=value, got {item!r}")
         params[key] = value
     entry = catalog.build(args.name, params, as_printed=args.as_printed)
-    series, closed, deviation, budget, ok = _series_check(entry, parse(args.at), args)
-    report = _report(
-        "eval",
+    series, closed, deviation, budget, excess = _series_check(entry, parse(args.at), args)
+    return (
         {"name": args.name, "params": params, "at": args.at, "as_printed": args.as_printed},
-        {"eps": args.eps, "tol": args.tol, "max_terms": args.max_terms},
+        _tolerances(args),
         {
             "series_value": _value_json(series.value),
             "terms_used": series.terms_used,
@@ -144,17 +130,16 @@ def cmd_eval(args) -> tuple[dict, int]:
             "deviation": deviation,
             "budget": budget,
         },
-        ok,
+        excess <= 0,
         [
             f"series  {format_literal(series.value)} ({series.terms_used} terms, tail {series.tail_bound:.3e})",
             f"closed  {format_literal(closed)}",
             f"deviation {deviation:.3e} vs budget {budget:.3e}",
         ],
     )
-    return report, 0 if ok else 1
 
 
-def cmd_verify_catalog(args) -> tuple[dict, int]:
+def cmd_verify_catalog(args) -> tuple[dict, dict, dict, bool, list]:
     if args.points < 1:
         raise ValueError(f"--points must be at least 1, got {args.points}")
     rows = args.rows.split(",") if args.rows else list(catalog.ALL_NAMES)
@@ -163,7 +148,6 @@ def cmd_verify_catalog(args) -> tuple[dict, int]:
             raise KeyError(f"unknown catalog entry {name!r}")
     rng = random.Random(args.seed)
     row_reports = []
-    all_ok = True
     for name in rows:
         draws = catalog.ROWS[name].sample(rng)
         entries = [catalog.build(name, p, as_printed=args.as_printed) for p in draws]
@@ -173,11 +157,11 @@ def cmd_verify_catalog(args) -> tuple[dict, int]:
         for entry in entries:
             biquat_ok = not entry.params
             for _ in range(args.points):
-                _, _, deviation, budget, passed = _series_check(
+                _, _, deviation, _, excess = _series_check(
                     entry, _draw_point(rng, entry, biquat_ok), args)
                 max_dev = max(max_dev, deviation)
-                max_excess = max(max_excess, deviation - budget)
-                ok = ok and passed
+                max_excess = max(max_excess, excess)
+                ok = ok and excess <= 0
         row_reports.append(
             {
                 "row": name,
@@ -188,19 +172,16 @@ def cmd_verify_catalog(args) -> tuple[dict, int]:
                 "pass": ok,
             }
         )
-        all_ok = all_ok and ok
-    report = _report(
-        "verify-catalog",
+    return (
         {"rows": rows, "points": args.points, "seed": args.seed, "as_printed": args.as_printed},
-        {"eps": args.eps, "tol": args.tol, "max_terms": args.max_terms},
+        _tolerances(args),
         {"rows": row_reports},
-        all_ok,
+        all(r["pass"] for r in row_reports),
         [
             f"{r['row']}: {'PASS' if r['pass'] else 'FAIL'} (max deviation {r['max_deviation']:.3e})"
             for r in row_reports
         ],
     )
-    return report, 0 if all_ok else 1
 
 
 def _shaped(value, kind: type, key: str):
@@ -258,8 +239,9 @@ def _load_recurrence(payload: dict) -> LinearRecurrence:
     return rec
 
 
-def _run_recurrence_payload(payload: dict, n_terms: int, tol: float, eps: float,
-                            max_terms: int, x_samples: list[str] | None) -> tuple[dict, bool]:
+def _run_recurrence_payload(payload: dict, n_terms: int, tol: float, eps: float = DEFAULT_EPS,
+                            max_terms: int = DEFAULT_MAX_TERMS,
+                            x_samples: list[str] | None = None) -> tuple[dict, bool]:
     if "deconvolve" in payload:
         return _run_deconvolve_payload(payload, tol)
     rec = _load_recurrence(payload)
@@ -324,7 +306,7 @@ def _worst_rel_gap(got: Sequence, want: Sequence, n_terms: int) -> float:
                for t in range(n_terms + 1))
 
 
-def cmd_recurrence(args) -> tuple[dict, int]:
+def cmd_recurrence(args) -> tuple[dict, dict, dict, bool, list]:
     payload = json.loads(Path(args.spec).read_text(encoding="utf-8"))
     if not isinstance(payload, dict):
         raise ValueError(f"spec {args.spec} must be a JSON object, got {type(payload).__name__}")
@@ -332,15 +314,13 @@ def cmd_recurrence(args) -> tuple[dict, int]:
     results, ok = _run_recurrence_payload(
         payload, args.terms, args.tol, args.eps, args.max_terms, samples
     )
-    report = _report(
-        "recurrence",
+    return (
         {"spec": str(args.spec), "terms": args.terms, "x_samples": samples},
-        {"tol": args.tol, "eps": args.eps, "max_terms": args.max_terms},
+        _tolerances(args),
         results,
         ok,
         [f"spec {args.spec}: {'PASS' if ok else 'FAIL'}"],
     )
-    return report, 0 if ok else 1
 
 
 _BUNDLED = ("example1", "example2", "example3", "example4", "example5")
@@ -371,30 +351,23 @@ def _check_zero_divisor_powers() -> tuple[dict, bool]:
     return {"max_rel_error": worst, "inverse_rejected": raised}, ok and raised
 
 
-def cmd_paper_suite(args) -> tuple[dict, int]:
+def cmd_paper_suite(args) -> tuple[dict, dict, dict, bool, list]:
     checks = []
-    all_ok = True
     for name in _BUNDLED:
         payload = load_bundled_spec(name)
-        tol = 1e-10 if "deconvolve" in payload else _DEFAULT_REC_TOL
-        results, ok = _run_recurrence_payload(
-            payload, 40, tol, DEFAULT_EPS, DEFAULT_MAX_TERMS, None
-        )
+        tol = _DECONVOLVE_TOL if "deconvolve" in payload else _DEFAULT_REC_TOL
+        results, ok = _run_recurrence_payload(payload, 40, tol)
         checks.append({"name": name, "pass": ok, "results": results})
-        all_ok = all_ok and ok
     detail, ok = _check_zero_divisor_powers()
     checks.append({"name": "zero_divisor_powers", "pass": ok, "results": detail})
-    all_ok = all_ok and ok
-    report = _report(
-        "paper-suite",
+    return (
         {},
-        {"recurrence_tol": _DEFAULT_REC_TOL, "deconvolve_tol": 1e-10},
+        {"recurrence_tol": _DEFAULT_REC_TOL, "deconvolve_tol": _DECONVOLVE_TOL},
         {"checks": checks},
-        all_ok,
+        all(c["pass"] for c in checks),
         [f"{c['name']}: {'PASS' if c['pass'] else 'FAIL'}" for c in checks]
         + [f"{sum(c['pass'] for c in checks)}/{len(checks)} checks passed"],
     )
-    return report, 0 if all_ok else 1
 
 
 # -- argument parsing ----------------------------------------------------------
@@ -423,6 +396,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--as-printed", action="store_true",
                         help="use the inconsistent n_pow_p variant")
     _common_flags(p_eval, _DEFAULT_VERIFY_TOL)
+    p_eval.set_defaults(run=cmd_eval)
 
     p_ver = subs.add_parser("verify-catalog", help="series-vs-closed-form sweep")
     p_ver.add_argument("--rows", help="comma-separated entry names (default: all)")
@@ -431,6 +405,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--as-printed", action="store_true",
                        help="use the inconsistent n_pow_p variant (fails by design)")
     _common_flags(p_ver, _DEFAULT_VERIFY_TOL)
+    p_ver.set_defaults(run=cmd_verify_catalog)
 
     p_rec = subs.add_parser("recurrence", help="run a JSON recurrence spec")
     p_rec.add_argument("spec", help="path to a recurrence spec file")
@@ -438,10 +413,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_rec.add_argument("--x-samples", metavar="LIT,LIT,...",
                        help="override transform sample points")
     _common_flags(p_rec, _DEFAULT_REC_TOL)
+    p_rec.set_defaults(run=cmd_recurrence)
 
     p_suite = subs.add_parser("paper-suite",
                               help="run the bundled worked-example suite end to end")
     p_suite.add_argument("--json", action="store_true", help="emit a JSON report")
+    p_suite.set_defaults(run=cmd_paper_suite)
 
     return parser
 
@@ -451,32 +428,30 @@ def build_parser() -> argparse.ArgumentParser:
 _parser = functools.cache(build_parser)
 
 
-_COMMANDS = {
-    "eval": cmd_eval,
-    "verify-catalog": cmd_verify_catalog,
-    "recurrence": cmd_recurrence,
-    "paper-suite": cmd_paper_suite,
-}
-
-
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
+    errors = []
     try:
-        report, code = _COMMANDS[args.command](args)
-    except BiqzError as exc:
-        report = _failure_report(args, exc)
-        code = 3
-    except (ValueError, KeyError, OSError) as exc:
-        report = _failure_report(args, exc)
-        code = 2
+        inputs, tolerances, results, ok, summary = args.run(args)
+        code = 0 if ok else 1
+    except (BiqzError, ValueError, KeyError, OSError) as exc:
+        inputs, tolerances, results, ok, summary = {}, {}, {}, False, []
+        message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
+        errors.append({"name": type(exc).__name__.removesuffix("Error"), "message": str(message)})
+        code = 3 if isinstance(exc, BiqzError) else 2
+    report = {
+        "tool": "biqz",
+        "version": __version__,
+        "command": args.command,
+        "inputs": inputs,
+        "tolerances": tolerances,
+        "results": results,
+        "errors": errors,
+        "pass": ok,
+        "summary": summary,
+    }
     _emit(report, args.json)
     return code
-
-
-def _failure_report(args, exc: Exception) -> dict:
-    message = str(exc.args[0]) if isinstance(exc, KeyError) and exc.args else str(exc)
-    return _report(args.command, {}, {}, {}, False, [],
-                   [{"name": _error_name(exc), "message": message}])
 
 
 if __name__ == "__main__":

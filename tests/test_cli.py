@@ -92,6 +92,14 @@ class TestVerifyCatalog:
         assert code == 1
         assert [r["pass"] for r in report["results"]["rows"]] == [False, False]
 
+    def test_uncertified_rows_report_inf_excess(self, capsys):
+        # an uncertified series has an inf budget, and its excess over that budget is inf
+        code, report = run_json(capsys, "verify-catalog", "--rows", "const_one,pow_p", "--max-terms", "5")
+        assert code == 1
+        rows = report["results"]["rows"]
+        assert [r["max_excess_over_budget"] for r in rows] == ["inf", "inf"]
+        assert [r["pass"] for r in rows] == [False, False]
+
     def test_as_printed_fails_only_weighted_geometric_row(self, capsys):
         code, report = run_json(
             capsys, "verify-catalog", "--points", "4", "--seed", "3", "--as-printed"
