@@ -30,9 +30,10 @@ degenerate forms
 
 apply, with cos(q), sin(q) the degenerate-branch values at n = 1.
 
-Terms built from powers (p**n, exp(+-s*q)**n, q**n / n!) are stepped from the
-previous index by one multiplication (``sequences.stepped``), so summing a
-series costs O(1) products per term.
+Terms built from powers are stepped from the previous index by one product, so
+summing a series costs O(1) products per term: p**n, its weighted rows and
+exp(+-s*q)**n over raw components (``sequences._powers``), q**n / n! over
+values (``sequences.stepped``).
 
 Convergence radii are exact and computed once per entry from the scalar roots
 q0 +- sqrt(q0**2 - cns) of the ratio (every biquaternion satisfies
@@ -65,7 +66,7 @@ from .algebra import (
 )
 from .errors import OutsideROCError
 from .parsing import parse
-from .sequences import Sequence, stepped
+from .sequences import Sequence, _powers, stepped
 
 
 @dataclass(frozen=True, eq=False)
@@ -115,15 +116,14 @@ def pow_p(p) -> CatalogEntry:
     p = as_biquaternion(p)
     # unweighted: a factor of 1 per term could flip the sign of zero components
     return _entry(
-        "pow_p", {"p": p}, root_magnitudes(p)[0], stepped(ONE, lambda _: p),
+        "pow_p", {"p": p}, root_magnitudes(p)[0], _powers(p),
         lambda x: (ONE - p * x.inverse()).inverse(),
     )
 
 
 def _geometric(name: str, params: dict, q: Biquaternion, weight, closed) -> CatalogEntry:
     """Entry with terms q**n * weight(n), stepped, and the larger root of q as radius."""
-    powers = stepped(ONE, lambda _: q)
-    return _entry(name, params, root_magnitudes(q)[0], lambda n: powers(n) * weight(n), closed)
+    return _entry(name, params, root_magnitudes(q)[0], _powers(q, weight), closed)
 
 
 def n_pow_p(p, as_printed: bool = False) -> CatalogEntry:
@@ -151,7 +151,7 @@ def _trig_entry(name: str, q, degenerate_term, degenerate_eval, combine) -> Cata
         )
     s = q.vector_part / va
     e, f = exp(s * q), exp(-(s * q))
-    e_pow, f_pow = stepped(ONE, lambda _: e), stepped(ONE, lambda _: f)
+    e_pow, f_pow = _powers(e), _powers(f)
 
     def ev(x):
         x_inv = x.inverse()

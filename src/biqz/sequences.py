@@ -1,15 +1,18 @@
 """Lazily evaluated biquaternion sequences f_0, f_1, f_2, ...
 
-Forward-stepped terms, each reached from the one before, go through one
-primitive, :func:`_stepper`: powers p**n (:func:`stepped`) and the geometric
-convolution recursion of :func:`~biqz.ztransform.convolve`.
+Forward-stepped terms, each reached from the one before, go through one of
+two primitives.  Constant-ratio powers p**n, optionally times a scalar weight,
+go through :func:`_powers`, which steps raw components.  Every other recursion
+goes through :func:`_stepper`: the varying factors of :func:`stepped` and the
+geometric convolution recursion of :func:`~biqz.ztransform.convolve`.
 """
 from __future__ import annotations
 
+from cmath import isfinite
 from math import inf
 from typing import Callable
 
-from .algebra import ONE, ZERO, Biquaternion, as_biquaternion
+from .algebra import ONE, ZERO, Biquaternion, _result, as_biquaternion
 
 
 def _stepper(start: Callable[[], Biquaternion], step: Callable[[int, Biquaternion], Biquaternion]):
@@ -45,11 +48,46 @@ def stepped(first: Biquaternion, factor: Callable[[int], Biquaternion]):
     return _stepper(lambda: first, lambda k, value: value * factor(k))
 
 
+def _powers(p: Biquaternion, weight: Callable[[int], int] | None = None):
+    """Term function n -> p**n (times a scalar weight(n)), one value built per term.
+
+    Bit-identical to ``stepped(ONE, lambda _: p)`` (times ``weight(n)``): the
+    components step from ``ONE``'s by ``__mul__``'s expressions in its operand
+    order, checked finite at every step, so an overflow raises the same
+    ValueError at the same index.  (index, components) is one snapshot.
+    """
+    pw, px, py, pz = p.w, p.x, p.y, p.z
+    last = (inf, None, None, None, None)  # any n < inf: the first call starts
+
+    def term(n: int) -> Biquaternion:
+        nonlocal last
+        k, w, x, y, z = last
+        if n < k:
+            k, w, x, y, z = 0, ONE.w, ONE.x, ONE.y, ONE.z
+        while k < n:
+            k += 1
+            w, x, y, z = (
+                w * pw - x * px - y * py - z * pz,
+                w * px + x * pw + y * pz - z * py,
+                w * py + y * pw + z * px - x * pz,
+                w * pz + z * pw + x * py - y * px,
+            )
+            if not (isfinite(w) and isfinite(x) and isfinite(y) and isfinite(z)):
+                _result(w, x, y, z)  # raises the constructor's ValueError
+        last = (k, w, x, y, z)
+        if weight is None:
+            return _result(w, x, y, z)
+        c = weight(n)
+        return _result(w * c, x * c, y * c, z * c)
+
+    return term
+
+
 class Sequence:
     """A deterministic map from index n >= 0 to a biquaternion.
 
     Terms are memoized, so repeated evaluation at the same index returns the
-    identical value.  Term functions may hold stepping state (:func:`stepped`)
+    identical value.  Term functions may hold stepping state (:func:`_powers`)
     yet give each index the same value in any order; nothing is locked, so
     threads sharing a sequence may compute a term twice (equal, not identical).
     ``radius_hint`` optionally records an analytically known convergence
@@ -92,7 +130,7 @@ class Sequence:
     @classmethod
     def geometric(cls, ratio) -> "Sequence":
         p = as_biquaternion(ratio)
-        seq = cls(stepped(ONE, lambda _: p), name="geometric")
+        seq = cls(_powers(p), name="geometric")
         seq.ratio = p
         return seq
 

@@ -21,7 +21,7 @@ from math import copysign, hypot, inf, isinf
 
 from .algebra import ONE, Biquaternion, _result, as_biquaternion, root_magnitudes, sum_products
 from .errors import DivergentSeriesError, NoConvergenceError, OutsideROCError
-from .sequences import Sequence, _stepper, advance, delay, stepped
+from .sequences import Sequence, _powers, _stepper, advance, delay
 
 # window length for the geometric-tail ratio test
 _RATIO_WINDOW = 8
@@ -103,7 +103,7 @@ def transform(
     part takes the full products, and a power that leaves double range is
     replayed as Biquaternion products to raise their exact error.
     """
-    if eps <= 0:
+    if not eps > 0:  # a NaN eps would certify any tail
         raise ValueError("eps must be positive")
     if max_terms <= 0:
         raise ValueError("max_terms must be positive")
@@ -256,7 +256,7 @@ def geometric_scale(f: Sequence, q) -> Sequence:
     hint = None
     if f.radius_hint is not None:
         hint = f.radius_hint * root_magnitudes(ratio)[0]
-    powers = stepped(ONE, lambda _: ratio)
+    powers = _powers(ratio)
     return Sequence(lambda n: f.term(n) * powers(n), radius_hint=hint, name="geometric_scale")
 
 
@@ -330,8 +330,8 @@ def convolve(f: Sequence, g: Sequence) -> Sequence:
             = K * w_{n-1} + g_n,          w_0 = g_0,
 
     the inverse of the step of :func:`~biqz.recurrence.deconvolve_geometric`.
-    The terms are then stepped by the same primitive as p**n, one product per
-    term, and an overflow raises ValueError at the step where it happens.  The
+    The terms are then stepped by :func:`~biqz.sequences._stepper`, one
+    product per term, and an overflow raises ValueError at the step where it happens.  The
     recursion rounds differently from the direct sum, so its terms agree with
     it to rounding, not bit for bit, and since it never forms K**n it does not
     fail where K**n alone leaves double range.

@@ -58,6 +58,13 @@ class TestEval:
         assert code == 3
         assert report["errors"][0]["name"] == "ZeroDivisor"
 
+    def test_nan_eps_is_a_strict_json_parse_error(self, capsys):
+        code, out = run_cli(capsys, "eval", "pow_p", "--param", "p=0.5", "--at", "2", "--eps", "nan", "--json")
+        report = json.loads(out, parse_constant=lambda token: pytest.fail(f"non-JSON token {token}"))
+        assert code == 2
+        assert report["pass"] is False
+        assert report["errors"] == [{"name": "Value", "message": "eps must be positive"}]
+
     def test_params_do_not_carry_over_between_calls(self, capsys):
         code, report = run_json(capsys, "eval", "pow_p", "--param", "p=0.5", "--at", "4")
         assert code == 0

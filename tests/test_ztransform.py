@@ -169,6 +169,11 @@ class TestTransform:
         with pytest.raises(ValueError):
             transform(seq, 2, max_terms=0)
 
+    def test_nan_eps_is_refused(self):
+        # NaN fails every comparison, so it would otherwise certify any tail
+        with pytest.raises(ValueError, match="eps must be positive"):
+            transform(cat.pow_p(0.5).sequence, 2, eps=math.nan)
+
 
 class TestRocEstimate:
     def test_constant(self):
