@@ -432,6 +432,8 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     errors = []
     try:
+        if not getattr(args, "tol", 0.0) >= 0:  # a NaN budget would fail every check
+            raise ValueError(f"--tol must be >= 0, got {args.tol}")
         inputs, tolerances, results, ok, summary = args.run(args)
         code = 0 if ok else 1
     except (BiqzError, ValueError, KeyError, OSError) as exc:

@@ -9,13 +9,15 @@ with all coefficients multiplying on the right, is iterated forward exactly
 (p_M must be invertible), checked against candidate closed forms, and solved
 in the transform domain at complex sample points via the shifting rule
 X[f_{.+m}](x) = X[f](x)*x**m - sum_{t<m} f_t * x**(m-t).
+The iteration and the relation check step raw complex components and build
+at most one value per term.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 
-from .algebra import ZERO, Biquaternion, as_biquaternion
+from .algebra import ZERO, Biquaternion, _result, as_biquaternion
 from .catalog import CatalogEntry
 from .errors import NoConvergenceError, OutsideROCError, ZeroDivisorError
 from .sequences import Sequence
@@ -60,28 +62,37 @@ class LinearRecurrence:
         self.forcing = list(forcing)
         self._solution: Sequence | None = None
 
-    def _forcing_pieces(self, n: int) -> list[Biquaternion]:
-        """The pieces g_{n+k} * q_k of the relation's right side, in order."""
-        return [ft.sequence.term(n + k) * coeff
+    def _forcing(self, n: int) -> list[tuple[Biquaternion, Biquaternion]]:
+        """The (g_{n+k}, q_k) pairs of the relation's right side, in order."""
+        return [(ft.sequence.term(n + k), coeff)
                 for ft in self.forcing for k, coeff in enumerate(ft.coeffs)]
 
     def rhs(self, n: int) -> Biquaternion:
-        return sum(self._forcing_pieces(n), ZERO)
+        return _result(*_sum_pieces(self._forcing(n))[0])
 
     def solution(self) -> Sequence:
-        """The forward iteration as a lazily extended sequence."""
+        """The forward iteration as a lazily extended sequence: each term is
+        (rhs - sum_{m<M} f_{base+m} * p_m) * p_M**-1, built once from raw
+        components bit-identical to those Biquaternion operations."""
         if self._solution is None:
             lead_inv = self.coeffs[-1].inverse()
+            iw, ix, iy, iz = lead_inv.w, lead_inv.x, lead_inv.y, lead_inv.z
             values = list(self.initial)
 
             def term(n: int) -> Biquaternion:
                 while len(values) <= n:
                     base = len(values) - self.order
                     try:
-                        acc = self.rhs(base)
-                        for m in range(self.order):
-                            acc = acc - values[base + m] * self.coeffs[m]
-                        values.append(acc * lead_inv)
+                        acc, _ = _sum_pieces(self._forcing(base))
+                        (w, x, y, z), _ = _sum_pieces(
+                            zip(values[base:], self.coeffs), acc, subtract=True)
+                        # a non-finite component stays so through this product
+                        values.append(_result(
+                            w * iw - x * ix - y * iy - z * iz,
+                            w * ix + x * iw + y * iz - z * iy,
+                            w * iy + y * iw + z * ix - x * iz,
+                            w * iz + z * iw + x * iy - y * ix,
+                        ))
                     except ValueError as exc:  # a component left double range
                         raise NoConvergenceError(
                             f"recurrence solution leaves double range at index {len(values)}"
@@ -96,12 +107,37 @@ class LinearRecurrence:
 
         The scale is max(1, largest component norm among the identity's
         terms), so relative errors stay meaningful for geometrically growing
-        solutions, including zero-divisor pieces whose real gauge is 0.
+        solutions, including zero-divisor pieces whose real gauge is 0.  A
+        piece that leaves double range makes the residual inf or NaN.
         """
-        lhs = [f.term(n + m) * coeff for m, coeff in enumerate(self.coeffs)]
-        rhs = self._forcing_pieces(n)
-        scale = max(1.0, *map(Biquaternion.component_norm, lhs + rhs))
-        return (sum(lhs, ZERO) - sum(rhs, ZERO)).component_norm(), scale
+        lhs, scale = _sum_pieces(zip(map(f.term, range(n, n + len(self.coeffs))), self.coeffs), scale=1.0)
+        rhs, scale = _sum_pieces(self._forcing(n), scale=scale)
+        dw, dx, dy, dz = map(complex.__sub__, lhs, rhs)
+        return math.hypot(dw.real, dw.imag, dx.real, dx.imag, dy.real, dy.imag, dz.real, dz.imag), scale
+
+
+def _sum_pieces(pairs, acc=(ZERO.w, ZERO.x, ZERO.y, ZERO.z), subtract=False, scale=None):
+    """((w, x, y, z), max(scale, each piece's component norm) if a scale is
+    given): acc plus (or minus) each piece term * coeff in turn, by
+    ``__mul__``'s, ``__add__``'s and ``__sub__``'s expressions in their order.
+    Unchecked: a non-finite component stays so through later sums and
+    products, so one ``_result`` at the end catches it."""
+    w, x, y, z = acc
+    for p, q in pairs:
+        pw, px, py, pz, qw, qx, qy, qz = p.w, p.x, p.y, p.z, q.w, q.x, q.y, q.z
+        aw = pw * qw - px * qx - py * qy - pz * qz
+        ax = pw * qx + px * qw + py * qz - pz * qy
+        ay = pw * qy + py * qw + pz * qx - px * qz
+        az = pw * qz + pz * qw + px * qy - py * qx
+        if scale is not None:
+            size = math.hypot(aw.real, aw.imag, ax.real, ax.imag, ay.real, ay.imag, az.real, az.imag)
+            if size > scale:  # as max(): a NaN size never replaces the scale
+                scale = size
+        if subtract:
+            w, x, y, z = w - aw, x - ax, y - ay, z - az
+        else:
+            w, x, y, z = w + aw, x + ax, y + ay, z + az
+    return (w, x, y, z), scale
 
 
 def iterate(rec: LinearRecurrence, n_terms: int) -> Sequence:
@@ -183,7 +219,8 @@ def verify_closed_form(
     relative errors are normalized by max(1, the largest component norm among
     the identity's terms, or of the initial value).  A row fails unless its
     relative error is <= tol; a NaN one (overflow over overflow) counts as inf,
-    and so does a nonzero gap over an overflowed scale.
+    and so does a nonzero gap over an overflowed scale.  So a relation whose
+    pieces leave double range fails its row, and a NaN gap reads inf.
     """
     if n_terms <= rec.order:
         raise ValueError("n_terms must exceed the recurrence order")
@@ -192,7 +229,7 @@ def verify_closed_form(
     rows += [(n, *rec.identity_gap(candidate, n)) for n in range(n_terms - rec.order + 1)]
     rels = [_relative(gap, scale) for _, gap, scale in rows]
     first_fail = next((row[0] for row, rel in zip(rows, rels) if not rel <= tol), None)
-    max_abs = max(gap for _, gap, _ in rows)
+    max_abs = max(math.inf if math.isnan(gap) else gap for _, gap, _ in rows)
     return VerificationReport(max_abs, max(rels), first_fail, len(rows), tol)
 
 

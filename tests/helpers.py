@@ -142,6 +142,54 @@ def reference_transform(f: Sequence, x, eps: float = 1e-12, max_terms: int = 409
     return TransformValue(total, used, math.inf)
 
 
+def reference_solution(rec) -> Sequence:
+    """``LinearRecurrence.solution`` as an unfused loop of Biquaternion operations.
+
+    Each new term is rhs - f_base * p_0 - ... - f_{base+M-1} * p_{M-1}, times
+    p_M**-1, every step a checked value.  The fused step in the library must
+    reproduce its terms and its NoConvergenceError bit for bit.
+    """
+    from biqz import NoConvergenceError
+
+    lead_inv = rec.coeffs[-1].inverse()
+    values = list(rec.initial)
+
+    def term(n: int) -> Biquaternion:
+        while len(values) <= n:
+            base = len(values) - rec.order
+            try:
+                acc = reference_rhs(rec, base)
+                for m in range(rec.order):
+                    acc = acc - values[base + m] * rec.coeffs[m]
+                values.append(acc * lead_inv)
+            except ValueError as exc:
+                raise NoConvergenceError(
+                    f"recurrence solution leaves double range at index {len(values)}"
+                ) from exc
+        return values[n]
+
+    return Sequence(term, name="recurrence")
+
+
+def _reference_forcing_pieces(rec, n: int) -> list[Biquaternion]:
+    return [ft.sequence.term(n + k) * coeff
+            for ft in rec.forcing for k, coeff in enumerate(ft.coeffs)]
+
+
+def reference_rhs(rec, n: int) -> Biquaternion:
+    """``LinearRecurrence.rhs`` as a Biquaternion sum of products from ZERO."""
+    return sum(_reference_forcing_pieces(rec, n), Biquaternion())
+
+
+def reference_identity_gap(rec, f: Sequence, n: int) -> tuple[float, float]:
+    """``LinearRecurrence.identity_gap`` over Biquaternion products and sums;
+    a piece that leaves double range raises the constructor's ValueError."""
+    lhs = [f.term(n + m) * coeff for m, coeff in enumerate(rec.coeffs)]
+    rhs = _reference_forcing_pieces(rec, n)
+    scale = max(1.0, *map(Biquaternion.component_norm, lhs + rhs))
+    return (sum(lhs, Biquaternion()) - sum(rhs, Biquaternion())).component_norm(), scale
+
+
 def comp_dist(a, b) -> float:
     return (as_biquaternion(a) - as_biquaternion(b)).component_norm()
 
