@@ -138,13 +138,7 @@ class Biquaternion:
                 return _result(self.w * other, self.x * other, self.y * other, self.z * other)
             if not isinstance(other, Biquaternion):
                 return NotImplemented
-        p, q = self, other
-        return _result(
-            p.w * q.w - p.x * q.x - p.y * q.y - p.z * q.z,
-            p.w * q.x + p.x * q.w + p.y * q.z - p.z * q.y,
-            p.w * q.y + p.y * q.w + p.z * q.x - p.x * q.z,
-            p.w * q.z + p.z * q.w + p.x * q.y - p.y * q.x,
-        )
+        return _result(*_hamilton(self.w, self.x, self.y, self.z, other.w, other.x, other.y, other.z))
 
     def __rmul__(self, other):
         # scalars commute, so left multiplication by a scalar is componentwise
@@ -278,6 +272,44 @@ def _result(w: complex, x: complex, y: complex, z: complex) -> Biquaternion:
     return q
 
 
+def _hamilton(pw, px, py, pz, qw, qx, qy, qz) -> tuple[complex, complex, complex, complex]:
+    """The components of p * q, unchecked: the one copy of the product's
+    expressions, whose operand order every raw-component loop shares with
+    ``__mul__``.  Non-finite components stay so through later sums and
+    products, so one :func:`_result` at the end of a loop catches an overflow."""
+    return (
+        pw * qw - px * qx - py * qy - pz * qz,
+        pw * qx + px * qw + py * qz - pz * qy,
+        pw * qy + py * qw + pz * qx - px * qz,
+        pw * qz + pz * qw + px * qy - py * qx,
+    )
+
+
+def _sum_pieces(pairs, acc=(0j, 0j, 0j, 0j), subtract=False, scale=None):
+    """((w, x, y, z), max(scale, each piece's component norm) if a scale is
+    given): acc plus (or minus) each piece term * coeff in turn, by
+    :func:`_hamilton` and ``__add__``'s and ``__sub__``'s expressions in their
+    order.  Unchecked, like :func:`_hamilton`."""
+    w, x, y, z = acc
+    for p, q in pairs:
+        aw, ax, ay, az = _hamilton(p.w, p.x, p.y, p.z, q.w, q.x, q.y, q.z)
+        if scale is not None:
+            size = math.hypot(aw.real, aw.imag, ax.real, ax.imag, ay.real, ay.imag, az.real, az.imag)
+            if size > scale:  # as max(): a NaN size never replaces the scale
+                scale = size
+        if subtract:
+            w, x, y, z = w - aw, x - ax, y - ay, z - az
+        else:
+            w, x, y, z = w + aw, x + ax, y + ay, z + az
+    return (w, x, y, z), scale
+
+
+def _gap(a: Biquaternion, b: Biquaternion) -> float:
+    """The component norm of a - b without building it, so a difference past
+    double range reads inf instead of raising."""
+    return math.hypot(*map(float.__sub__, a.components(), b.components()))
+
+
 ZERO = Biquaternion()
 ONE = Biquaternion(1.0)
 i = Biquaternion(0.0, 1.0)
@@ -313,19 +345,15 @@ def isclose(p, q, rel_tol: float = 1e-9, abs_tol: float = 0.0) -> bool:
 def sum_products(pairs) -> Biquaternion:
     """a0*b0 + a1*b1 + ... over (a, b) pairs of biquaternions.
 
-    Computed as ``total = a0*b0; total = total + a*b`` for the rest: the sum
-    starts from the first product, so signed zeros survive, and an overflow
-    raises the constructor's ValueError.
-    """
+    Bit-identical to ``total = a0*b0; total = total + a*b`` for the rest: the
+    sum starts from the first product, so signed zeros survive, and an
+    overflow raises the constructor's ValueError."""
     it = iter(pairs)
     try:
         a, b = next(it)
     except StopIteration:
         raise ValueError("sum_products needs at least one pair") from None
-    total = a * b
-    for a, b in it:
-        total = total + a * b
-    return total
+    return _result(*_sum_pieces(it, _hamilton(a.w, a.x, a.y, a.z, b.w, b.x, b.y, b.z))[0])
 
 
 def root_magnitudes(q) -> tuple[float, float]:

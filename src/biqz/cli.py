@@ -27,7 +27,7 @@ from importlib import resources
 from pathlib import Path
 
 from . import __version__, catalog
-from .algebra import ZERO, Biquaternion, root_magnitudes
+from .algebra import ZERO, Biquaternion, _gap, root_magnitudes
 from .errors import BiqzError, LiteralParseError, ZeroDivisorError
 from .parsing import format_literal, parse
 from .recurrence import (
@@ -302,7 +302,7 @@ def _run_deconvolve_payload(payload: dict, tol: float) -> tuple[dict, bool]:
 def _worst_rel_gap(got: Sequence, want: Sequence, n_terms: int) -> float:
     """max over t = 0..n_terms of |got(t) - want(t)| / max(1, |want(t)|), read by
     ``_relative``: NaN, or a nonzero gap over an overflowed size, as inf."""
-    return max(_relative((got.term(t) - want.term(t)).component_norm(), want.term(t).component_norm())
+    return max(_relative(_gap(got.term(t), want.term(t)), want.term(t).component_norm())
                for t in range(n_terms + 1))
 
 

@@ -9,15 +9,15 @@ with all coefficients multiplying on the right, is iterated forward exactly
 (p_M must be invertible), checked against candidate closed forms, and solved
 in the transform domain at complex sample points via the shifting rule
 X[f_{.+m}](x) = X[f](x)*x**m - sum_{t<m} f_t * x**(m-t).
-The iteration and the relation check step raw complex components and build
-at most one value per term.
+The iteration and the relation check step raw complex components by
+``_hamilton`` and ``_sum_pieces``, building at most one value per term.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 
-from .algebra import ZERO, Biquaternion, _result, as_biquaternion
+from .algebra import ZERO, Biquaternion, _gap, _hamilton, _result, _sum_pieces, as_biquaternion
 from .catalog import CatalogEntry
 from .errors import NoConvergenceError, OutsideROCError, ZeroDivisorError
 from .sequences import Sequence
@@ -86,13 +86,7 @@ class LinearRecurrence:
                         acc, _ = _sum_pieces(self._forcing(base))
                         (w, x, y, z), _ = _sum_pieces(
                             zip(values[base:], self.coeffs), acc, subtract=True)
-                        # a non-finite component stays so through this product
-                        values.append(_result(
-                            w * iw - x * ix - y * iy - z * iz,
-                            w * ix + x * iw + y * iz - z * iy,
-                            w * iy + y * iw + z * ix - x * iz,
-                            w * iz + z * iw + x * iy - y * ix,
-                        ))
+                        values.append(_result(*_hamilton(w, x, y, z, iw, ix, iy, iz)))
                     except ValueError as exc:  # a component left double range
                         raise NoConvergenceError(
                             f"recurrence solution leaves double range at index {len(values)}"
@@ -114,30 +108,6 @@ class LinearRecurrence:
         rhs, scale = _sum_pieces(self._forcing(n), scale=scale)
         dw, dx, dy, dz = map(complex.__sub__, lhs, rhs)
         return math.hypot(dw.real, dw.imag, dx.real, dx.imag, dy.real, dy.imag, dz.real, dz.imag), scale
-
-
-def _sum_pieces(pairs, acc=(ZERO.w, ZERO.x, ZERO.y, ZERO.z), subtract=False, scale=None):
-    """((w, x, y, z), max(scale, each piece's component norm) if a scale is
-    given): acc plus (or minus) each piece term * coeff in turn, by
-    ``__mul__``'s, ``__add__``'s and ``__sub__``'s expressions in their order.
-    Unchecked: a non-finite component stays so through later sums and
-    products, so one ``_result`` at the end catches it."""
-    w, x, y, z = acc
-    for p, q in pairs:
-        pw, px, py, pz, qw, qx, qy, qz = p.w, p.x, p.y, p.z, q.w, q.x, q.y, q.z
-        aw = pw * qw - px * qx - py * qy - pz * qz
-        ax = pw * qx + px * qw + py * qz - pz * qy
-        ay = pw * qy + py * qw + pz * qx - px * qz
-        az = pw * qz + pz * qw + px * qy - py * qx
-        if scale is not None:
-            size = math.hypot(aw.real, aw.imag, ax.real, ax.imag, ay.real, ay.imag, az.real, az.imag)
-            if size > scale:  # as max(): a NaN size never replaces the scale
-                scale = size
-        if subtract:
-            w, x, y, z = w - aw, x - ax, y - ay, z - az
-        else:
-            w, x, y, z = w + aw, x + ax, y + ay, z + az
-    return (w, x, y, z), scale
 
 
 def iterate(rec: LinearRecurrence, n_terms: int) -> Sequence:
@@ -224,7 +194,7 @@ def verify_closed_form(
     """
     if n_terms <= rec.order:
         raise ValueError("n_terms must exceed the recurrence order")
-    rows = [(t, (candidate.term(t) - v).component_norm(), v.component_norm())
+    rows = [(t, _gap(candidate.term(t), v), v.component_norm())
             for t, v in enumerate(rec.initial)]
     rows += [(n, *rec.identity_gap(candidate, n)) for n in range(n_terms - rec.order + 1)]
     rels = [_relative(gap, scale) for _, gap, scale in rows]

@@ -2,9 +2,9 @@
 
 Forward-stepped terms, each reached from the one before, go through one of
 two primitives.  Constant-ratio powers p**n, optionally times a scalar weight,
-go through :func:`_powers`, which steps raw components.  Every other recursion
-goes through :func:`_stepper`: the varying factors of :func:`stepped` and the
-geometric convolution recursion of :func:`~biqz.ztransform.convolve`.
+go through :func:`_powers`, which steps raw components by ``_hamilton``.
+Every other recursion goes through :func:`_stepper`: the varying factors of
+:func:`stepped` and the geometric recursion of ``ztransform.convolve``.
 """
 from __future__ import annotations
 
@@ -12,7 +12,7 @@ from cmath import isfinite
 from math import inf
 from typing import Callable
 
-from .algebra import ONE, ZERO, Biquaternion, _result, as_biquaternion
+from .algebra import ONE, ZERO, Biquaternion, _hamilton, _result, as_biquaternion
 
 
 def _stepper(start: Callable[[], Biquaternion], step: Callable[[int, Biquaternion], Biquaternion]):
@@ -52,9 +52,9 @@ def _powers(p: Biquaternion, weight: Callable[[int], int] | None = None):
     """Term function n -> p**n (times a scalar weight(n)), one value built per term.
 
     Bit-identical to ``stepped(ONE, lambda _: p)`` (times ``weight(n)``): the
-    components step from ``ONE``'s by ``__mul__``'s expressions in its operand
-    order, checked finite at every step, so an overflow raises the same
-    ValueError at the same index.  (index, components) is one snapshot.
+    components step from ``ONE``'s by ``algebra._hamilton``, checked finite at
+    every step, so an overflow raises the same ValueError at the same index.
+    (index, components) is one snapshot.
     """
     pw, px, py, pz = p.w, p.x, p.y, p.z
     last = (inf, None, None, None, None)  # any n < inf: the first call starts
@@ -66,12 +66,7 @@ def _powers(p: Biquaternion, weight: Callable[[int], int] | None = None):
             k, w, x, y, z = 0, ONE.w, ONE.x, ONE.y, ONE.z
         while k < n:
             k += 1
-            w, x, y, z = (
-                w * pw - x * px - y * py - z * pz,
-                w * px + x * pw + y * pz - z * py,
-                w * py + y * pw + z * px - x * pz,
-                w * pz + z * pw + x * py - y * px,
-            )
+            w, x, y, z = _hamilton(w, x, y, z, pw, px, py, pz)
             if not (isfinite(w) and isfinite(x) and isfinite(y) and isfinite(z)):
                 _result(w, x, y, z)  # raises the constructor's ValueError
         last = (k, w, x, y, z)

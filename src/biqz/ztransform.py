@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from cmath import isfinite
 from math import copysign, hypot, inf, isinf
 
-from .algebra import ONE, Biquaternion, _result, as_biquaternion, root_magnitudes, sum_products
+from .algebra import ONE, Biquaternion, _hamilton, _result, as_biquaternion, root_magnitudes, sum_products
 from .errors import DivergentSeriesError, NoConvergenceError, OutsideROCError
 from .sequences import Sequence, _powers, _stepper, advance, delay
 
@@ -87,7 +87,7 @@ def transform(
     magnitude of x, which sets how slowly x**-n decays, is not above it.
 
     Each step fuses the product f_n * x**-n, the running sum and the next
-    power x**-(n+1) over raw complex components, with ``__mul__``'s and
+    power x**-(n+1) over raw complex components, by ``_hamilton`` and
     ``__add__``'s expressions in their order, and one Biquaternion is built
     per result; values, term counts and tail bounds are bit-identical to the
     loop of Biquaternion operations.  As in that loop, a term f_n or a
@@ -141,10 +141,7 @@ def transform(
         if scaled:
             aw, ax, ay, az = pw * qw, px * qw, py * qw, pz * qw
         else:
-            aw = pw * qw - px * qx - py * qy - pz * qz
-            ax = pw * qx + px * qw + py * qz - pz * qy
-            ay = pw * qy + py * qw + pz * qx - px * qz
-            az = pw * qz + pz * qw + px * qy - py * qx
+            aw, ax, ay, az = _hamilton(pw, px, py, pz, qw, qx, qy, qz)
         size = hypot(aw.real, aw.imag, ax.real, ax.imag, ay.real, ay.imag, az.real, az.imag)
         # also true when size is inf or NaN; only then are the components inspected
         if not size <= _DIVERGENCE_BAIL:
@@ -179,12 +176,7 @@ def transform(
                 for _ in range(n):
                     power = power * x_inv
         else:
-            qw, qx, qy, qz = (
-                qw * iw - qx * ix - qy * iy - qz * iz,
-                qw * ix + qx * iw + qy * iz - qz * iy,
-                qw * iy + qy * iw + qz * ix - qx * iz,
-                qw * iz + qz * iw + qx * iy - qy * ix,
-            )
+            qw, qx, qy, qz = _hamilton(qw, qx, qy, qz, iw, ix, iy, iz)
             if not (isfinite(qw) and isfinite(qx) and isfinite(qy) and isfinite(qz)):
                 _result(qw, qx, qy, qz)  # x**-n left double range: raises ValueError
 

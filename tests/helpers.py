@@ -33,6 +33,18 @@ def brute_mul(p: Biquaternion, q: Biquaternion) -> Biquaternion:
     return Biquaternion(*out)
 
 
+def literal_mul(p: Biquaternion, q: Biquaternion) -> Biquaternion:
+    """The Hamilton product written out in the library's operand order, kept
+    here as a literal copy so a reordered sum in the library shows as a
+    changed bit, which the 16-term expansion above does not pin."""
+    return Biquaternion(
+        p.w * q.w - p.x * q.x - p.y * q.y - p.z * q.z,
+        p.w * q.x + p.x * q.w + p.y * q.z - p.z * q.y,
+        p.w * q.y + p.y * q.w + p.z * q.x - p.x * q.z,
+        p.w * q.z + p.z * q.w + p.x * q.y - p.y * q.x,
+    )
+
+
 def series_exp(q, terms: int = 40) -> Biquaternion:
     """sum_{n<terms} q**n / n!, accumulated term by term."""
     q = as_biquaternion(q)

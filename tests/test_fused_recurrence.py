@@ -133,6 +133,12 @@ class TestOverflow:
         assert report.first_failure_index == 0
         assert report.max_rel_error == report.max_abs_error == float("inf")
 
+    def test_overflowing_initial_row_reads_inf(self):
+        rec = LinearRecurrence([-1, 1], [-1e308])
+        report = verify_closed_form(rec, Sequence.constant(1e308), n_terms=5)
+        assert report.first_failure_index == 0
+        assert report.max_rel_error == report.max_abs_error == float("inf")
+
     def test_candidate_terms_that_raise_keep_raising(self):
         def term(n):
             if n == 2:
@@ -168,6 +174,28 @@ class TestCli:
         verification = report["results"]["verification"]
         assert verification["pass"] is False
         assert verification["max_rel_error"] == "inf"
+
+    def test_overflowing_initial_value_gap_fails_with_exit_1(self, capsys, tmp_path):
+        spec = tmp_path / "initial.json"
+        spec.write_text(json.dumps({"coeffs": ["-1", "1"], "initial": ["-1e308"],
+                                    "candidate": {"polynomial": ["1e308"]}}), encoding="utf-8")
+        code, report = _strict_report(capsys, "recurrence", str(spec), "--terms", "5")
+        assert code == 1
+        assert report["errors"] == []
+        verification = report["results"]["verification"]
+        assert verification["first_failure_index"] == 0
+        assert verification["max_rel_error"] == "inf"
+
+    def test_overflowing_deconvolution_candidate_gap_fails_with_exit_1(self, capsys, tmp_path):
+        spec = tmp_path / "deconvolve.json"
+        spec.write_text(json.dumps({"deconvolve": {"kernel": "0.5", "target": {"polynomial": ["1e308"]}},
+                                    "candidate": {"polynomial": ["-1e308"]}, "roundtrip_terms": 3}),
+                        encoding="utf-8")
+        code, report = _strict_report(capsys, "recurrence", str(spec))
+        assert code == 1
+        assert report["errors"] == []
+        assert report["results"]["candidate_rel_error"] == "inf"
+        assert report["results"]["roundtrip_rel_error"] == 0.0
 
     @pytest.mark.parametrize("tol", ["nan", "-1", "-inf"])
     @pytest.mark.parametrize("command", [
