@@ -34,7 +34,8 @@ from .errors import ZeroDivisorError
 # invert alike while near-zero-divisor garbage stays out of divisions
 INVERTIBILITY_TOL = 1e-12
 
-# |vec_abs| below this selects the degenerate branch of exp / cos / sin
+# |vec_abs| below this selects exp's degenerate branch, e**q0 * (1 + v), where
+# sin(vec_abs)/vec_abs cannot be evaluated as a quotient
 DEGENERATE_VEC_TOL = 1e-10
 
 Scalar = int | float | complex
@@ -337,7 +338,7 @@ def isclose(p, q, rel_tol: float = 1e-9, abs_tol: float = 0.0) -> bool:
     """Componentwise closeness of two biquaternions."""
     a = as_biquaternion(p)
     b = as_biquaternion(q)
-    gap = (a - b).component_norm()
+    gap = _gap(a, b)  # inf, not a raise, where a - b leaves double range
     scale = max(a.component_norm(), b.component_norm())
     return gap <= max(rel_tol * scale, abs_tol)
 
@@ -369,12 +370,6 @@ def root_magnitudes(q) -> tuple[float, float]:
     return max(a, b), min(a, b)
 
 
-def _sgn_and_abs(q: Biquaternion) -> tuple[Biquaternion, complex]:
-    """(vector_part / vec_abs, vec_abs) for a nondegenerate vector part."""
-    va = q.vec_abs()
-    return Biquaternion(0.0, q.x / va, q.y / va, q.z / va), va
-
-
 def exp(q) -> Biquaternion:
     """Biquaternion exponential.
 
@@ -394,35 +389,16 @@ def exp(q) -> Biquaternion:
 
 
 def cos_seq_term(q, n: int) -> Biquaternion:
-    """cos(q*n) for integer n >= 0, via the two-branch closed form.
-
-    Nondegenerate vector part: (exp(s*q*n) + exp(-s*q*n)) / 2 with
-    s = vector_part / vec_abs.  Degenerate (|vec_abs| ~ 0):
-    cos(q0*n) - v * n * sin(q0*n).
+    """cos(q*n) for integer n >= 0, by Euler's formula through the central unit I:
+    (exp(I*q*n) + exp(-I*q*n)) / 2, for every q, nilpotent vector parts included.
     """
-    q = as_biquaternion(q)
-    va = q.vec_abs()
-    if abs(va) < DEGENERATE_VEC_TOL:
-        c = cmath.cos(q.w * n)
-        s = cmath.sin(q.w * n)
-        return Biquaternion(c, -q.x * n * s, -q.y * n * s, -q.z * n * s)
-    s_unit, _ = _sgn_and_abs(q)
-    arg = (s_unit * q) * n
+    arg = as_biquaternion(q) * (1j * n)
     return (exp(arg) + exp(-arg)) * 0.5
 
 
 def sin_seq_term(q, n: int) -> Biquaternion:
-    """sin(q*n) for integer n >= 0, companion of :func:`cos_seq_term`.
-
-    Nondegenerate: -s/2 * (exp(s*q*n) - exp(-s*q*n)); degenerate:
-    sin(q0*n) + v * n * cos(q0*n).
+    """sin(q*n) for integer n >= 0, companion of :func:`cos_seq_term`:
+    I/2 * (exp(-I*q*n) - exp(I*q*n)).
     """
-    q = as_biquaternion(q)
-    va = q.vec_abs()
-    if abs(va) < DEGENERATE_VEC_TOL:
-        c = cmath.cos(q.w * n)
-        s = cmath.sin(q.w * n)
-        return Biquaternion(s, q.x * n * c, q.y * n * c, q.z * n * c)
-    s_unit, _ = _sgn_and_abs(q)
-    arg = (s_unit * q) * n
-    return s_unit * (exp(arg) - exp(-arg)) * -0.5
+    arg = as_biquaternion(q) * (1j * n)
+    return (exp(-arg) - exp(arg)) * 0.5j

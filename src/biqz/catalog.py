@@ -8,8 +8,8 @@ convergence radius of the series, and the parameters it was built from:
     ramp_n2            n**2               (x**2 + x) * (x-1)**-3
     pow_p(p)           p**n               (1 - p*x**-1)**-1
     n_pow_p(p)         n * p**n           p * x**-1 * (1 - p*x**-1)**-2
-    cos_qn(q)          cos(q*n)           two-branch, see below
-    sin_qn(q)          sin(q*n)           two-branch, see below
+    cos_qn(q)          cos(q*n)           (G(e) + G(f)) / 2
+    sin_qn(q)          sin(q*n)           I * (G(f) - G(e)) / 2
     binom_shifted(m,q) C(n+m, m) * q**n   (1 - x**-1*q)**-m * (1 - q*x**-1)**-1
     binom(m,q)         C(n, m) * q**n     (x*q**-1 - 1)**-m * (1 - q*x**-1)**-1
     exp_over_fact(q)   q**n / n!          exp(q * x**-1)
@@ -20,26 +20,20 @@ p * (1 - p*x**-1)**-1, which circulates but is inconsistent with both the
 index-scaling rule and direct summation; it is kept only so the discrepancy
 can be demonstrated.
 
-For cos/sin entries with |vec_abs(q)| away from zero the transform combines
-the two geometric series with ratios exp(+-s*q), s = vector/vec_abs; when
-|vec_abs(q)| is numerically zero (including nilpotent vector parts) the
-degenerate forms
-
-    cos: (x**2 - x*cos(q)) * (x**2 - 2*x*cos(q) + 1)**-1
-    sin: (x * sin(q))      * (x**2 - 2*x*cos(q) + 1)**-1
-
-apply, with cos(q), sin(q) the degenerate-branch values at n = 1.
+The trig rows take G(r) = (1 - r*x**-1)**-1, e = exp(I*q) and f = exp(-I*q).
+Euler's formula holds for every q, nilpotent vector parts included, because
+the complex unit I commutes with every biquaternion.
 
 Terms built from powers are stepped from the previous index by one product, so
 summing a series costs O(1) products per term: p**n, its weighted rows and
-exp(+-s*q)**n over raw components (``sequences._powers``), q**n / n! over
+exp(+-I*q)**n over raw components (``sequences._powers``), q**n / n! over
 values (``sequences.stepped``).
 
 Convergence radii are exact and computed once per entry from the scalar roots
 q0 +- sqrt(q0**2 - cns) of the ratio (every biquaternion satisfies
 q**2 = 2*q0*q - cns, so its powers grow componentwise like the larger root
 magnitude).  Geometric and binomial rows take the larger root of their
-parameter, cos/sin the larger root of exp(+-s*q), and exp_over_fact is
+parameter, cos/sin the larger root of exp(+-I*q), and exp_over_fact is
 entire.  The real gauge of the parameter would understate growth near the
 zero-divisor variety: powers of 1 + 1Ik double componentwise although its
 real gauge is 0.
@@ -54,16 +48,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .algebra import (
-    DEGENERATE_VEC_TOL,
-    ONE,
-    Biquaternion,
-    as_biquaternion,
-    cos_seq_term,
-    exp,
-    root_magnitudes,
-    sin_seq_term,
-)
+from .algebra import ONE, Biquaternion, as_biquaternion, exp, root_magnitudes
 from .errors import OutsideROCError
 from .parsing import parse
 from .sequences import Sequence, _powers, stepped
@@ -138,47 +123,28 @@ def n_pow_p(p, as_printed: bool = False) -> CatalogEntry:
     return _geometric("n_pow_p", {"p": p, "as_printed": as_printed}, p, lambda n: n, ev)
 
 
-def _trig_entry(name: str, q, degenerate_term, degenerate_eval, combine) -> CatalogEntry:
-    # nondegenerate: combine(s, a, b) joins the parts with ratios exp(+-s*q),
-    # their n-th powers for the terms and their geometric sums for the closed form
+def _trig_entry(name: str, q, combine) -> CatalogEntry:
+    # combine(a, b) joins the parts with ratios exp(+-I*q): their n-th powers
+    # for the terms, their geometric sums for the closed form
     q = as_biquaternion(q)
-    va = q.vec_abs()
-    # s = v/vec_abs commutes with q, eigenvalues +-I: exp(+-s*q) has exp(+-(+-I*q0 - vec_abs))
-    radius = math.exp(abs(va.real) + abs(q.w.imag))
-    if abs(va) < DEGENERATE_VEC_TOL:
-        return _entry(
-            name, {"q": q}, radius, lambda n: degenerate_term(q, n), lambda x: degenerate_eval(q, x)
-        )
-    s = q.vector_part / va
-    e, f = exp(s * q), exp(-(s * q))
+    # roots q0 +- I*vec_abs of q give exp(+-I*q) root magnitudes exp(-+Im q0 +- Re vec_abs)
+    radius = math.exp(abs(q.vec_abs().real) + abs(q.w.imag))
+    e, f = exp(q * 1j), exp(q * -1j)
     e_pow, f_pow = _powers(e), _powers(f)
 
     def ev(x):
         x_inv = x.inverse()
-        return combine(s, (ONE - e * x_inv).inverse(), (ONE - f * x_inv).inverse())
+        return combine((ONE - e * x_inv).inverse(), (ONE - f * x_inv).inverse())
 
-    return _entry(name, {"q": q}, radius, lambda n: combine(s, e_pow(n), f_pow(n)), ev)
-
-
-def _cos_degenerate(q, x):
-    c1 = cos_seq_term(q, 1)
-    denom = (x * x - x * c1 * 2 + ONE).inverse()
-    return (x * x - x * c1) * denom
-
-
-def _sin_degenerate(q, x):
-    c1 = cos_seq_term(q, 1)
-    s1 = sin_seq_term(q, 1)
-    denom = (x * x - x * c1 * 2 + ONE).inverse()
-    return x * s1 * denom
+    return _entry(name, {"q": q}, radius, lambda n: combine(e_pow(n), f_pow(n)), ev)
 
 
 def cos_qn(q) -> CatalogEntry:
-    return _trig_entry("cos_qn", q, cos_seq_term, _cos_degenerate, lambda s, a, b: (a + b) * 0.5)
+    return _trig_entry("cos_qn", q, lambda a, b: (a + b) * 0.5)
 
 
 def sin_qn(q) -> CatalogEntry:
-    return _trig_entry("sin_qn", q, sin_seq_term, _sin_degenerate, lambda s, a, b: s * (b - a) * 0.5)
+    return _trig_entry("sin_qn", q, lambda a, b: (b - a) * 0.5j)
 
 
 def nonnegative_int(key: str, raw) -> int:
@@ -253,7 +219,7 @@ def draw_conditioned(rng: random.Random) -> Biquaternion:
 
 
 def _sample_trig(rng: random.Random) -> list[dict]:
-    # a nondegenerate q and a scalar (degenerate-branch) q
+    # a q with its vector part away from zero, and a complex scalar q
     while True:
         q = draw_conditioned(rng) * 0.8
         if abs(q.vec_abs()) >= 0.3:

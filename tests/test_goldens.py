@@ -16,10 +16,10 @@ ROOT = Path(__file__).resolve().parent.parent
 
 GOLDENS = {
     "paper-suite --json": "f905d602900c938744698b7c582ff58cc3a1761efa6c76d0c32f2d3f20cfe381",
-    "verify-catalog --json --seed 0": "2f3fc664a6afd208d93c5e610ecfae0da2484ad5feec694e31c2f0ad6d4d25b8",
-    "verify-catalog --json --seed 1": "07cd0ca8fa5538d8a6c86d19c5fe4e0d15c046d04df0bbea207aa174d195d063",
-    "verify-catalog --json --seed 2": "837599d01ca48cd79d28befa5c5373267b557d3268eb4014d34b4f194f51421a",
-    "verify-catalog --json --seed 3": "c28f52af4f70ef1fedf37ae0aeb0148c5ad29c6b9ae47e42528f3f3df8618412",
+    "verify-catalog --json --seed 0": "12c27e6e7ac7ae912dfafe072a430b27f5df63516ec4f72ed6d748a150d50a5a",
+    "verify-catalog --json --seed 1": "9619f981629ee19b26b354ea78c4a5fdb9b6276c224ef3daf2e77ab745486973",
+    "verify-catalog --json --seed 2": "94f0528519a45b2f2488d3bbc1e1f3dc725960ab72e3be71b54331ec2fe5a3a6",
+    "verify-catalog --json --seed 3": "861cd4ecf46aa907986feedd54f9aceb4fc5611dc1b013cc8fe110020b5390a5",
     "recurrence src/biqz/specs/example1.json --json": "449f0bc6ca78ed0db30b041f9a88b49f085ad97b9943693a28ef67af374f79d7",
     "recurrence src/biqz/specs/example2.json --json": "5031ba5120cf8eeb72a87d7ff395872abefedb425c06c17ac163d19cb5c89921",
     "recurrence src/biqz/specs/example3.json --json": "23fb6fba6f825fc9810376c74d200d581e7a5f4ccb3147c9a21738561cc4fe1c",

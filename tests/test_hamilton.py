@@ -8,7 +8,7 @@ import random
 
 import pytest
 
-from biqz.algebra import Biquaternion, _gap, _hamilton
+from biqz.algebra import Biquaternion, _gap, _hamilton, isclose
 
 from helpers import literal_mul, rand_biquat
 
@@ -65,3 +65,9 @@ class TestGap:
         with pytest.raises(ValueError, match="non-finite"):
             a - b
         assert _gap(a, b) == float("inf")
+
+    def test_isclose_past_double_range_is_false(self):
+        # the gap of 1e308 and -1e308 leaves double range: not close, no raise
+        assert not isclose(1e308, -1e308)
+        assert not isclose(Biquaternion(0, 1e308j), Biquaternion(0, -1e308j), abs_tol=1e300)
+        assert isclose(1e308, 1e308) and isclose(-1e308, -1e308 * (1 + 1e-12))

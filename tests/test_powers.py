@@ -130,18 +130,21 @@ class TestWeighted:
 class TestTrigPowers:
     @pytest.mark.parametrize("name", ["cos_qn", "sin_qn"])
     def test_nondegenerate_rows_match_stepped_powers(self, name):
+        # every q, complex scalars and nilpotent vector parts included, takes
+        # the one construction: combine the stepped powers of exp(+-I*q)
         rng = random.Random(2000)
         combine = {
-            "cos_qn": lambda s, a, b: (a + b) * 0.5,
-            "sin_qn": lambda s, a, b: s * (b - a) * 0.5,
+            "cos_qn": lambda a, b: (a + b) * 0.5,
+            "sin_qn": lambda a, b: (b - a) * 0.5j,
         }[name]
-        for _ in range(5):
-            q = rand_biquat(rng, 0.8)
-            s = q.vector_part / q.vec_abs()
-            e_ref, f_ref = _reference(exp(s * q)), _reference(exp(-(s * q)))
+        qs = [rand_biquat(rng, 0.8) for _ in range(5)]
+        qs += [Biquaternion(complex(rng.uniform(-1, 1), rng.uniform(-0.4, 0.4))) for _ in range(3)]
+        qs += [Biquaternion(rng.uniform(-0.8, 0.8), u, 1j * u) for u in (0.2, -0.5, 0.8)]
+        for q in qs:
+            e_ref, f_ref = _reference(exp(q * 1j)), _reference(exp(q * -1j))
             seq = cat.build(name, {"q": q}).sequence
             for n in range(80):
-                assert _reprs(seq.term(n)) == _reprs(combine(s, e_ref(n), f_ref(n))), n
+                assert _reprs(seq.term(n)) == _reprs(combine(e_ref(n), f_ref(n))), (q, n)
 
 
 def _failure(term, n) -> str | None:
