@@ -225,9 +225,13 @@ class Biquaternion:
         return cmath.sqrt(self.x * self.x + self.y * self.y + self.z * self.z)
 
     def commutes_with(self, other, tol: float = 1e-12) -> bool:
+        """|p*q - q*p| <= tol * max(1, |p|*|q|), taken on each operand over its largest
+        real component magnitude so that nothing leaves double range; zero commutes with all."""
         o = as_biquaternion(other)
-        gap = (self * o - o * self).component_norm()
-        return gap <= tol * max(1.0, self.component_norm() * o.component_norm())
+        a, b = (max(map(abs, v.components())) or 1.0 for v in (self, o))  # zero stays zero
+        p, q = self / a, o / b
+        gap = (p * q - q * p).component_norm()
+        return gap <= tol * max(1.0 / a / b, p.component_norm() * q.component_norm())
 
     def __repr__(self):
         return f"Biquaternion({self.w!r}, {self.x!r}, {self.y!r}, {self.z!r})"

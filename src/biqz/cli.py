@@ -24,6 +24,7 @@ import math
 import random
 import sys
 from importlib import resources
+from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 
 from . import __version__, catalog
@@ -58,18 +59,40 @@ def _tolerances(args) -> dict:
     return {"eps": args.eps, "tol": args.tol, "max_terms": args.max_terms}
 
 
-def _strict(value):
-    """value with each non-finite float as the string float() reads back: inf, -inf or nan."""
-    if isinstance(value, dict):
-        return {key: _strict(item) for key, item in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_strict(item) for item in value]
-    return repr(value) if isinstance(value, float) and not math.isfinite(value) else value
+def _json(value, indent: str, put) -> None:
+    """Write value through put as json.dumps(value, indent=2, sort_keys=True) would,
+    non-finite floats as the strings "inf", "-inf", "nan"; indent is the newline and
+    spaces that start value's line.  Any other type, or a non-str key, raises TypeError."""
+    kind = type(value)
+    if kind is str:
+        put(_quote(value))
+    elif kind is float:
+        put(repr(value) if math.isfinite(value) else _quote(repr(value)))
+    elif kind is dict:
+        inner = indent + "  "
+        for n, key in enumerate(sorted(value)):
+            put(("," if n else "{") + inner + _quote(key) + ": ")
+            _json(value[key], inner, put)
+        put(indent + "}" if value else "{}")
+    elif kind is list or kind is tuple:
+        inner = indent + "  "
+        for n, item in enumerate(value):
+            put(("," if n else "[") + inner)
+            _json(item, inner, put)
+        put(indent + "]" if value else "[]")
+    elif kind is int:
+        put(repr(value))
+    elif kind is bool or value is None:
+        put("null" if value is None else "true" if value else "false")
+    else:
+        raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
 
 def _emit(report: dict, as_json: bool) -> None:
     if as_json:
-        print(json.dumps(_strict(report), indent=2, sort_keys=True, allow_nan=False))
+        pieces: list[str] = []
+        _json(report, "\n", pieces.append)
+        print("".join(pieces))
         return
     print(f"{report['command']}: {'PASS' if report['pass'] else 'FAIL'}")
     for err in report["errors"]:

@@ -61,6 +61,7 @@ class LinearRecurrence:
             )
         self.forcing = list(forcing)
         self._solution: Sequence | None = None
+        self._radius: float | None = None  # transform_value's growth survey, taken once
 
     def _forcing(self, n: int) -> list[tuple[Biquaternion, Biquaternion]]:
         """The (g_{n+k}, q_k) pairs of the relation's right side, in order."""
@@ -137,9 +138,10 @@ def transform_value(
     if isinstance(x, Biquaternion):
         x = x.to_complex()
     x = complex(x)
-    sigma = roc_estimate(rec.solution(), 64)
-    if abs(x) <= sigma:
-        raise OutsideROCError(f"|x| = {abs(x)} is not above the estimated radius {sigma}")
+    if rec._radius is None:
+        rec._radius = roc_estimate(rec.solution(), 64)
+    if abs(x) <= rec._radius:
+        raise OutsideROCError(f"|x| = {abs(x)} is not above the estimated radius {rec._radius}")
 
     poly = sum([coeff * x**m for m, coeff in enumerate(rec.coeffs)], ZERO)
     if not poly.is_invertible():

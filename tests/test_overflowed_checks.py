@@ -7,7 +7,8 @@ reports its true relative error.  Only a length above the largest double reads
 inf, so a gap and its scale can both be inf and their ratio NaN; such a ratio
 must fail a check and report inf, not slip past ``rel > tol`` or ``max()``.  A
 spec whose ``catalog`` value is a list or an object exits 2 naming the value.
-``geometric_remainder`` reads ``geometric_sum`` and keeps its error order."""
+``geometric_remainder`` reads ``geometric_sum`` and keeps its error order.
+``commutes_with`` answers for finite operands whose products leave double range."""
 import json
 import math
 
@@ -131,3 +132,24 @@ class TestGeometricRemainder:
             geometric_remainder(2.0, 0)  # divergent too, but n_terms is checked first
         with pytest.raises(DivergentSeriesError):
             geometric_remainder(2.0, 3)
+
+
+class TestCommutesOverflow:
+    def test_large_operands(self):
+        # each product is 1e400, past double range; the operands are finite
+        big_i, big_j = Biquaternion(0, 1e200), Biquaternion(0, 0, 1e200)
+        assert big_i.commutes_with(big_i)
+        assert not big_i.commutes_with(big_j)
+
+    def test_component_norm_past_double_range(self):
+        c = 1.7e308 + 1.7e308j
+        big = Biquaternion(c, c, c, c)  # its component norm reads inf
+        assert big.commutes_with(big)
+        assert not big.commutes_with(Biquaternion(0, 0, 1))
+
+    def test_zero_and_tiny_operands(self):
+        assert Biquaternion().commutes_with(Biquaternion(0, 1e200))
+        assert Biquaternion(0, 1e200).commutes_with(0)
+        # |ij - ji| = 2e-400 against tol * max(1, |p||q|) = 1e-12
+        assert Biquaternion(0, 1e-200).commutes_with(Biquaternion(0, 0, 1e-200))
+        assert not Biquaternion(0, 1e-3).commutes_with(Biquaternion(0, 0, 1e-3))
