@@ -175,6 +175,9 @@ class Biquaternion:
         return self.w == o.w and self.x == o.x and self.y == o.y and self.z == o.z
 
     def __hash__(self):
+        # hashed as the scalar it equals: hash(complex(a, 0)) == hash(a) == hash(complex(a, -0.0))
+        if self.x == self.y == self.z == 0:
+            return hash(self.w)
         return hash((self.w, self.x, self.y, self.z))
 
     # -- conjugate, norms, inverse ------------------------------------------
@@ -249,7 +252,7 @@ def _invertible(q: Biquaternion, cns: complex) -> bool:
 
 
 class _Raw:
-    """Biquaternion's slot layout without its ``__setattr__``: :func:`_result`
+    """Biquaternion's slot layout without its ``__setattr__``: :func:`_built`
     fills one with plain stores, then turns it into a Biquaternion."""
 
     __slots__ = Biquaternion.__slots__
@@ -260,14 +263,17 @@ def _result(w: complex, x: complex, y: complex, z: complex) -> Biquaternion:
 
     Arithmetic on built-in complex components yields built-in complex, so the
     constructor's ``complex()`` coercion is skipped; its finiteness check is
-    not.  A non-finite component goes through the constructor, which raises
-    its ``non-finite biquaternion component`` ValueError.  The components are
-    stored into a :class:`_Raw` whose class is then set to Biquaternion, which
-    is cheaper than calling the slot descriptors' ``__set__``; the value is
-    immutable from then on.
+    not: a non-finite component goes through the constructor, which raises.
     """
     if not (_isfinite(w) and _isfinite(x) and _isfinite(y) and _isfinite(z)):
         return Biquaternion(w, x, y, z)  # raises
+    return _built(w, x, y, z)
+
+
+def _built(w: complex, x: complex, y: complex, z: complex) -> Biquaternion:
+    """:func:`_result` for components already checked finite: they are stored
+    into a :class:`_Raw` whose class is then set to Biquaternion, cheaper than
+    the slot descriptors' ``__set__``; the value is immutable from then on."""
     q = _Raw()
     q.w = w
     q.x = x

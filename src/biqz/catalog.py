@@ -97,18 +97,15 @@ def ramp_n2() -> CatalogEntry:
     return _entry("ramp_n2", {}, 1.0, lambda n: n * n, lambda x: (x * x + x) * (x - ONE).inverse() ** 3)
 
 
+def _geometric(name: str, params: dict, q: Biquaternion, weight, closed) -> CatalogEntry:
+    """Entry with terms q**n, times weight(n) if given, stepped; radius the larger root of q."""
+    return _entry(name, params, root_magnitudes(q)[0], _powers(q, weight), closed)
+
+
 def pow_p(p) -> CatalogEntry:
     p = as_biquaternion(p)
     # unweighted: a factor of 1 per term could flip the sign of zero components
-    return _entry(
-        "pow_p", {"p": p}, root_magnitudes(p)[0], _powers(p),
-        lambda x: (ONE - p * x.inverse()).inverse(),
-    )
-
-
-def _geometric(name: str, params: dict, q: Biquaternion, weight, closed) -> CatalogEntry:
-    """Entry with terms q**n * weight(n), stepped, and the larger root of q as radius."""
-    return _entry(name, params, root_magnitudes(q)[0], _powers(q, weight), closed)
+    return _geometric("pow_p", {"p": p}, p, None, lambda x: (ONE - p * x.inverse()).inverse())
 
 
 def n_pow_p(p, as_printed: bool = False) -> CatalogEntry:

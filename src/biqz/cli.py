@@ -104,11 +104,11 @@ def _emit(report: dict, as_json: bool) -> None:
 # -- seeded draws for verify-catalog ------------------------------------------
 
 
-def _draw_point(rng: random.Random, entry: catalog.CatalogEntry, biquat_ok: bool):
+def _draw_point(rng: random.Random, entry: catalog.CatalogEntry):
     sigma = entry.roc_radius
     lo, hi = max(2.0 * sigma, 0.5), max(4.0 * sigma, 2.0)
     radius = rng.uniform(lo, hi)
-    if biquat_ok:
+    if not entry.params:  # a parameterised closed form holds only at commuting points
         # rescale so the SMALLER root magnitude hits the target radius: the
         # inverse powers x**-n shrink componentwise at exactly that rate,
         # while the real gauge only fixes the geometric mean of the roots
@@ -178,10 +178,8 @@ def cmd_verify_catalog(args) -> tuple[dict, dict, dict, bool, list]:
         max_excess = -math.inf
         ok = True
         for entry in entries:
-            biquat_ok = not entry.params
             for _ in range(args.points):
-                _, _, deviation, _, excess = _series_check(
-                    entry, _draw_point(rng, entry, biquat_ok), args)
+                _, _, deviation, _, excess = _series_check(entry, _draw_point(rng, entry), args)
                 max_dev = max(max_dev, deviation)
                 max_excess = max(max_excess, excess)
                 ok = ok and excess <= 0

@@ -12,7 +12,7 @@ from cmath import isfinite
 from math import inf
 from typing import Callable
 
-from .algebra import ONE, ZERO, Biquaternion, _hamilton, _result, as_biquaternion
+from .algebra import ONE, ZERO, Biquaternion, _built, _hamilton, _result, as_biquaternion
 
 
 def _stepper(start: Callable[[], Biquaternion], step: Callable[[int, Biquaternion], Biquaternion]):
@@ -71,7 +71,7 @@ def _powers(p: Biquaternion, weight: Callable[[int], int] | None = None):
                 _result(w, x, y, z)  # raises the constructor's ValueError
         last = (k, w, x, y, z)
         if weight is None:
-            return _result(w, x, y, z)
+            return _built(w, x, y, z)  # checked at their step
         c = weight(n)
         return _result(w * c, x * c, y * c, z * c)
 

@@ -36,9 +36,11 @@ DEFAULT_MAX_TERMS = 4096
 class TransformValue:
     """A truncated transform evaluation.
 
-    ``tail_bound`` is a certified bound (componentwise, hence also in the
-    real gauge) on the distance to the full series when finite; ``math.inf``
-    means the evaluation hit ``max_terms`` without certifying a tail.
+    ``tail_bound`` bounds the distance to the full series (componentwise, hence
+    also in the real gauge) by the geometric tail of the last window of term
+    ratios.  It exceeds ``eps`` only for a run that stopped early, at
+    ``max_terms`` or an overflow; ``math.inf`` (uncertified) means that run
+    had no full window whose largest ratio is below 1.
     """
 
     value: Biquaternion
@@ -80,28 +82,28 @@ def transform(
 
     Terms are summed until the largest term-ratio over the last
     ``_RATIO_WINDOW`` steps drops below 1 and the implied geometric tail
-    bound falls below ``eps`` (or ``max_terms`` is reached; the result is
-    then uncertified, with ``tail_bound == inf``).  Raises
-    NoConvergenceError when terms keep growing, and OutsideROCError when a
-    radius hint on ``f`` already rules the point out: the smaller root
-    magnitude of x, which sets how slowly x**-n decays, is not above it.
+    bound falls below ``eps``, or until the run stops early (see
+    :class:`TransformValue`).  Raises NoConvergenceError when terms keep
+    growing, and OutsideROCError when a radius hint on ``f`` already rules
+    the point out: the smaller root magnitude of x, which sets how slowly
+    x**-n decays, is not above it.
 
     Each step fuses the product f_n * x**-n, the running sum and the next
     power x**-(n+1) over raw complex components, by ``_hamilton`` and
     ``__add__``'s expressions in their order, and one Biquaternion is built
     per result; values, term counts and tail bounds are bit-identical to the
-    loop of Biquaternion operations.  As in that loop, a term f_n or a
-    product that leaves double range ends the series, a finite product whose
-    size overflows raises NoConvergenceError, and a power x**-n that leaves
-    double range raises ValueError.
+    loop of Biquaternion operations.  As in that loop, a term f_n, a product
+    or a power x**-n that leaves double range ends the series, and a finite
+    product whose size overflows raises NoConvergenceError.  The power is
+    stepped unchecked: past double range it makes the next product inf or
+    NaN, which ends the series where an overflowing product does.
 
     At a complex point (x**-1 has a zero vector part) x**-n stays a complex
     number: each term is f_n scaled by it, and each power step is one
     complex product.  The full products differ from these only in the sign
     of parts that are exactly zero, which the sizes ignore and a running sum
     free of -0.0 parts never shows (+0 + -0 == +0); so an f_0 with a -0.0
-    part takes the full products, and a power that leaves double range is
-    replayed as Biquaternion products to raise their exact error.
+    part takes the full products.
     """
     if not eps > 0:  # a NaN eps would certify any tail
         raise ValueError("eps must be positive")
@@ -146,7 +148,7 @@ def transform(
         # also true when size is inf or NaN; only then are the components inspected
         if not size <= _DIVERGENCE_BAIL:
             if not (isfinite(aw) and isfinite(ax) and isfinite(ay) and isfinite(az)):
-                break  # f_n * x**-n left double range: as for f_n above
+                break  # f_n * x**-n or x**-n left double range: as for f_n above
             raise NoConvergenceError(f"terms exceed {_DIVERGENCE_BAIL:g} at index {n}")
         # terms are at most _DIVERGENCE_BAIL, below half an ulp of the largest
         # double, so the running sum cannot leave range; _result checks it anyway
@@ -167,18 +169,11 @@ def transform(
                 tail = size * r / (1.0 - r)
                 if tail <= eps:
                     return TransformValue(_result(tw, tx, ty, tz), n + 1, tail)
+        # unchecked: past double range, x**-n makes the next product inf or NaN
         if scaled:
             qw = qw * iw
-            if not isfinite(qw):
-                # x**-n left double range: the products' error shows their
-                # zero parts' signs, so replay them, which raises ValueError
-                power = x_inv
-                for _ in range(n):
-                    power = power * x_inv
         else:
             qw, qx, qy, qz = _hamilton(qw, qx, qy, qz, iw, ix, iy, iz)
-            if not (isfinite(qw) and isfinite(qx) and isfinite(qy) and isfinite(qz)):
-                _result(qw, qx, qy, qz)  # x**-n left double range: raises ValueError
 
     total = _result(tw, tx, ty, tz)
     if len(ratios) == _RATIO_WINDOW:

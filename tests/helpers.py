@@ -143,7 +143,10 @@ def reference_transform(f: Sequence, x, eps: float = 1e-12, max_terms: int = 409
                 tail = size * r / (1.0 - r)
                 if tail <= eps:
                     return TransformValue(total, n + 1, tail)
-        x_pow = x_pow * x_inv
+        try:
+            x_pow = x_pow * x_inv
+        except ValueError:
+            break  # x**-(n+1) left double range: the series ends as for a term
 
     if len(ratios) == _RATIO_WINDOW:
         r = max(ratios)

@@ -383,6 +383,13 @@ class TestValueSemantics:
         assert Biquaternion(1) == 1 and Biquaternion(2j) == 2j
         assert hash(Biquaternion(1, 2, 3, 4)) == hash(Biquaternion(1, 2, 3, 4))
 
+    @pytest.mark.parametrize("scalar", [1, -7, 2.5, -0.0, 0, 3j, 1 - 2j, complex(4, -0.0), complex(-0.0, -0.0)])
+    def test_scalar_values_hash_as_the_scalar_they_equal(self, scalar):
+        for q in (Biquaternion(scalar), Biquaternion(scalar, -0.0, complex(0.0, -0.0), 0)):
+            assert q == scalar and hash(q) == hash(scalar)
+            assert q in {scalar} and scalar in {q}
+            assert {scalar: "a"}.get(q) == "a"
+
     def test_commutes_with(self):
         assert not i.commutes_with(j)
         assert i.commutes_with(3 + 2j)

@@ -65,6 +65,14 @@ class TestEval:
         assert report["pass"] is False
         assert report["errors"] == [{"name": "Value", "message": "eps must be positive"}]
 
+    def test_series_past_the_power_range_is_a_value(self, capsys):
+        # 0.505**-n leaves double range near n = 1,040, before the tail is below eps
+        code, out = run_cli(capsys, "eval", "pow_p", "--param", "p=0.5", "--at", "0.505", "--json")
+        report = json.loads(out, parse_constant=lambda token: pytest.fail(f"non-JSON token {token}"))
+        assert code <= 1
+        assert report["errors"] == []
+        assert isinstance(report["results"]["tail_bound"], float)
+
     def test_params_do_not_carry_over_between_calls(self, capsys):
         code, report = run_json(capsys, "eval", "pow_p", "--param", "p=0.5", "--at", "4")
         assert code == 0

@@ -3,6 +3,7 @@ and every place where an arithmetic result or a series quantity can leave
 double range."""
 import math
 import random
+import sys
 
 import pytest
 
@@ -214,16 +215,32 @@ class TestSeriesOverflowSites:
         got = _same(Sequence.from_terms(f), Sequence.from_terms(f), 1.0)
         assert got[:2] == ("raised", NoConvergenceError)
 
-    def test_overflowing_power_of_x_raises(self):
-        # zero terms never reach the bail, but x**-4 = 1e400 leaves range; at
-        # 1e-100 - 0I, x**-4 scaled as a complex number is inf - 0I, while
-        # the products give inf + 0I: the message must be the products'
+    def test_overflowing_power_of_x_ends_the_series(self):
+        # zero terms never reach the bail, but x**-4 = 1e400 leaves range, so
+        # the product 0 * x**-4 is NaN and the series ends after f_3, as it
+        # does for an overflowing term: a value, not a raise
         f = [ONE]
         for x in (1e-100, complex(1e-100, -0.0), complex(-1e-100, -0.0), complex(-0.0, 1e-100),
                   Biquaternion(1e-100, -0.0, complex(0.0, -0.0)), parse("1e-100+1e-120i")):
             got = _same(Sequence.from_terms(f), Sequence.from_terms(f), x)
-            assert got[:2] == ("raised", ValueError)
-            assert "non-finite" in got[2]
+            assert got == ("value", _reprs(ONE), 4, "inf")
+
+    def test_power_past_double_range_inside_the_roc_gives_a_value(self):
+        # term ratio 0.5/0.505 = 0.990: the series is finite, sums to 101, and
+        # needs more terms than 0.505**-n stays finite for
+        tv = transform(catalog.pow_p(0.5).sequence, 0.505)
+        assert tv.terms_used * math.log(1 / 0.505) > math.log(sys.float_info.max)
+        assert 1e-12 < tv.tail_bound < 1e-2
+        assert (tv.value - 101).component_norm() <= tv.tail_bound + tv.terms_used * 101 * 2.0**-52
+        assert _same(catalog.pow_p(0.5).sequence, catalog.pow_p(0.5).sequence, 0.505)[0] == "value"
+
+    def test_growing_terms_whose_power_overflows_first_do_not_converge(self):
+        # terms 0.2**n * 10**n = 2**n grow, but 10**n leaves range at n = 309,
+        # before any term exceeds the bail: the full window of ratios 2 refuses
+        f = Sequence(lambda n: 0.2**n)
+        got = _same(f, Sequence(lambda n: 0.2**n), 0.1)
+        assert got[:2] == ("raised", NoConvergenceError)
+        assert "still growing" in got[2]
 
 
 class TestArithmeticOverflow:
