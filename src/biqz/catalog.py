@@ -24,10 +24,12 @@ The trig rows take G(r) = (1 - r*x**-1)**-1, e = exp(I*q) and f = exp(-I*q).
 Euler's formula holds for every q, nilpotent vector parts included, because
 the complex unit I commutes with every biquaternion.
 
-Terms built from powers are stepped from the previous index by one product, so
-summing a series costs O(1) products per term: p**n, its weighted rows and
-exp(+-I*q)**n over raw components (``sequences._powers``), q**n / n! over
-values (``sequences.stepped``).
+Terms built from powers are stepped from the previous indices, so summing a
+series costs O(1) operations per term: p**n, its weighted rows and
+exp(+-I*q)**n over raw components (``sequences._powers``: the three-term
+recurrence p**(k+1) = 2*p0*p**k - cns(p)*p**(k-1) where the ratio's roots lie
+apart, one product elsewhere), q**n / n! by one product over values
+(``sequences.stepped``).
 
 Convergence radii are exact and computed once per entry from the scalar roots
 q0 +- sqrt(q0**2 - cns) of the ratio (every biquaternion satisfies

@@ -12,8 +12,9 @@ Subcommands:
                     zero-divisor power identity end to end
 
 Exit codes: 0 pass, 1 verification failure, 2 parse/spec error, 3 domain
-error (ZeroDivisor / OutsideROC / NoConvergence / DivergentSeries).  Reports
-are byte-stable for identical invocations (including --seed).
+error (ZeroDivisor / OutsideROC / NoConvergence / DivergentSeries); a reader
+that closes stdout early (``| head``) changes neither the code nor stderr.
+Reports are byte-stable for identical invocations (including --seed).
 """
 from __future__ import annotations
 
@@ -21,6 +22,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import random
 import sys
 from importlib import resources
@@ -473,7 +475,13 @@ def main(argv=None) -> int:
         "pass": ok,
         "summary": summary,
     }
-    _emit(report, args.json)
+    try:
+        _emit(report, args.json)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout (`| head`): what is still buffered goes to
+        # the null device, so the flush at exit prints no second error
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return code
 
 

@@ -2,9 +2,11 @@
 
 Forward-stepped terms, each reached from the one before, go through one of
 two primitives.  Constant-ratio powers p**n, optionally times a scalar weight,
-go through :func:`_powers`, which steps raw components by ``_hamilton``.
-Every other recursion goes through :func:`_stepper`: the varying factors of
-:func:`stepped` and the geometric recursion of ``ztransform.convolve``.
+go through :func:`_powers`, which steps raw components by the three-term
+recurrence p**(k+1) = 2*p0*p**k - cns(p)*p**(k-1) where p's two roots lie
+apart, and by ``_hamilton`` elsewhere.  Every other recursion goes through
+:func:`_stepper`: the varying factors of :func:`stepped` and the geometric
+recursion of ``ztransform.convolve``.
 """
 from __future__ import annotations
 
@@ -12,7 +14,7 @@ from cmath import isfinite
 from math import inf
 from typing import Callable
 
-from .algebra import ONE, ZERO, Biquaternion, _built, _hamilton, _result, as_biquaternion
+from .algebra import ONE, ZERO, Biquaternion, _built, _hamilton, _result, as_biquaternion, root_magnitudes
 
 
 def _stepper(start: Callable[[], Biquaternion], step: Callable[[int, Biquaternion], Biquaternion]):
@@ -48,32 +50,60 @@ def stepped(first: Biquaternion, factor: Callable[[int], Biquaternion]):
     return _stepper(lambda: first, lambda k, value: value * factor(k))
 
 
+# The three-term step carries a rounding error injected at one index through
+# both root modes: after m more steps it is at most 2*rho/|lam+ - lam-| times
+# rho**m, rho the larger root magnitude, because
+# |lam+**(m+1) - lam-**(m+1)| <= 2*rho**(m+1).  Roots at least rho/8 apart
+# bound that factor by 16.  Near a double root the recurrence has the mode
+# n*lam**n and rounding grows like n**2*u, so those ratios take the product.
+_ROOTS_APART = 1 / 8
+
+
 def _powers(p: Biquaternion, weight: Callable[[int], int] | None = None):
     """Term function n -> p**n (times a scalar weight(n)), one value built per term.
 
-    Bit-identical to ``stepped(ONE, lambda _: p)`` (times ``weight(n)``): the
-    components step from ``ONE``'s by ``algebra._hamilton``, checked finite at
-    every step, so an overflow raises the same ValueError at the same index.
-    (index, components) is one snapshot.
+    Every biquaternion satisfies p**2 = 2*p0*p - cns(p), so where p's roots
+    lam+- = p0 +- I*vec_abs(p) lie apart (2*|vec_abs(p)| >= rho/8, with
+    rho = root_magnitudes(p)[0] > 0), each component steps as
+    c_(k+1) = 2*p0*c_k - cns(p)*c_(k-1): 8 complex products, against 16 for
+    a Hamilton product.  p**1, and every power of a zero ratio, a complex
+    scalar or a nilpotent or near-defective vector part, step from ``ONE``'s
+    components by ``algebra._hamilton``, bit-identical to
+    ``stepped(ONE, lambda _: p)``.  Each step is checked finite; a non-finite
+    three-term step is redone as the product from p**k, which raises only
+    where it leaves double range too, so an overflow raises the product's
+    ValueError at the product's index.  (index, p**k, p**(k-1)) is one
+    snapshot.
     """
     pw, px, py, pz = p.w, p.x, p.y, p.z
-    last = (inf, None, None, None, None)  # any n < inf: the first call starts
+    rho = root_magnitudes(p)[0]
+    apart = rho > 0.0 and 2.0 * abs(p.vec_abs()) >= rho * _ROOTS_APART
+    a, b = 2.0 * pw, p.complex_norm_sq()
+    last = (inf, None, None)  # any n < inf: the first call starts
 
     def term(n: int) -> Biquaternion:
         nonlocal last
-        k, w, x, y, z = last
+        k, now, before = last
         if n < k:
-            k, w, x, y, z = 0, ONE.w, ONE.x, ONE.y, ONE.z
+            k, now, before = 0, (ONE.w, ONE.x, ONE.y, ONE.z), None
         while k < n:
-            k += 1
-            w, x, y, z = _hamilton(w, x, y, z, pw, px, py, pz)
-            if not (isfinite(w) and isfinite(x) and isfinite(y) and isfinite(z)):
-                _result(w, x, y, z)  # raises the constructor's ValueError
-        last = (k, w, x, y, z)
+            w, x, y, z = now
+            if apart and k:
+                vw, vx, vy, vz = before
+                nw, nx, ny, nz = a * w - b * vw, a * x - b * vx, a * y - b * vy, a * z - b * vz
+                if isfinite(nw) and isfinite(nx) and isfinite(ny) and isfinite(nz):
+                    k, now, before = k + 1, (nw, nx, ny, nz), now
+                    continue
+                # a*c_k can overflow a step before p**(k+1) does: redo it as the product
+            nxt = _hamilton(w, x, y, z, pw, px, py, pz)
+            if not (isfinite(nxt[0]) and isfinite(nxt[1]) and isfinite(nxt[2]) and isfinite(nxt[3])):
+                _result(*nxt)  # raises the constructor's ValueError
+            k, now, before = k + 1, nxt, now
+        last = (k, now, before)
         if weight is None:
-            return _built(w, x, y, z)  # checked at their step
+            return _built(*now)  # checked at their step
         c = weight(n)
-        return _result(w * c, x * c, y * c, z * c)
+        return _result(now[0] * c, now[1] * c, now[2] * c, now[3] * c)
 
     return term
 

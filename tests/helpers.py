@@ -45,6 +45,40 @@ def literal_mul(p: Biquaternion, q: Biquaternion) -> Biquaternion:
     )
 
 
+def roots_apart(p: Biquaternion) -> bool:
+    """Whether p's roots p0 +- I*vec_abs(p) lie at least rho/8 apart, rho the
+    larger root magnitude (> 0): the ratios whose powers the library steps by
+    the three-term recurrence instead of the Hamilton product."""
+    rho = root_magnitudes(p)[0]
+    return rho > 0.0 and 2.0 * abs(p.vec_abs()) >= rho / 8
+
+
+def literal_three_term_powers(p: Biquaternion):
+    """Term function n -> p**n with p**1 = 1 * p and each later power
+    2*p0 * p**k - cns(p) * p**(k-1), written out in the library's operand order
+    as a literal copy, so a reordered step in the library shows as a changed
+    bit.  Every index is reached from the in-order list, whatever the access
+    order."""
+    a, b = 2.0 * p.w, p.complex_norm_sq()
+    values = [Biquaternion(1.0)]
+
+    def term(n: int) -> Biquaternion:
+        while len(values) <= n:
+            if len(values) == 1:
+                values.append(literal_mul(values[0], p))
+                continue
+            c, v = values[-1], values[-2]
+            values.append(Biquaternion(
+                a * c.w - b * v.w,
+                a * c.x - b * v.x,
+                a * c.y - b * v.y,
+                a * c.z - b * v.z,
+            ))
+        return values[n]
+
+    return term
+
+
 def series_exp(q, terms: int = 40) -> Biquaternion:
     """sum_{n<terms} q**n / n!, accumulated term by term."""
     q = as_biquaternion(q)

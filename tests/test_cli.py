@@ -1,6 +1,10 @@
 """CLI surface: subcommands, exit codes, JSON reports, determinism."""
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
@@ -248,3 +252,28 @@ class TestUsage:
             main(["--version"])
         assert exc.value.code == 0
         assert "biqz" in capsys.readouterr().out
+
+
+class TestClosedStdout:
+    # the reader closes the pipe before the report is written, as `| head`
+    # does once it has its lines: the command still exits with its verdict
+    # and prints nothing to stderr
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["verify-catalog", "--json", "--seed", "0"], 0),
+            (["eval", "pow_p", "--param", "p=0.5", "--at", "2"], 0),
+            (["eval", "pow_p", "--param", "p=2", "--at", "1.5", "--json"], 3),
+        ],
+    )
+    def test_no_traceback(self, argv, code):
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "biqz", *argv], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env
+        )
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == code
+        assert err == b""

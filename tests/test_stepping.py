@@ -77,7 +77,8 @@ class TestAccessOrder:
         assert term(5) == high and low == term(2)
 
     def test_threads_sharing_a_term_function_get_the_in_order_values(self):
-        want = Sequence.geometric(GENERIC).prefix(200)
+        in_order = stepped(ONE, lambda _: GENERIC)  # geometric sequences step by three terms
+        want = [in_order(n) for n in range(200)]
         term = stepped(ONE, lambda _: GENERIC)
         wrong = []
 
