@@ -206,16 +206,22 @@ class Biquaternion:
         return self.real_norm()
 
     def is_invertible(self) -> bool:
-        """|q * conj(q)| > INVERTIBILITY_TOL * component_norm()**2; false for 0."""
-        return _invertible(self, self.complex_norm_sq())
+        """|q * conj(q)| > INVERTIBILITY_TOL * component_norm()**2; false for 0.  The test
+        is scale-free, so a value it refuses is tested again as its :func:`_unit_copy`."""
+        if _invertible(self, self.complex_norm_sq()):
+            return True
+        unit = _unit_copy(self)[0]
+        return _invertible(unit, unit.complex_norm_sq())
 
     def inverse(self) -> "Biquaternion":
-        """conj(q) / (q * conj(q)); raises ZeroDivisorError unless is_invertible()."""
+        """conj(q) / (q * conj(q)); raises ZeroDivisorError unless is_invertible().  A q
+        refused because its squares left double range inverts as u**-1 / c, (u, c) = _unit_copy(q)."""
         cns = self.complex_norm_sq()
         if not _invertible(self, cns):
-            raise ZeroDivisorError(
-                f"complex norm {cns!r} is numerically zero; no inverse exists"
-            )
+            unit, c = _unit_copy(self)
+            if not _invertible(unit, unit.complex_norm_sq()):
+                raise ZeroDivisorError(f"complex norm {cns!r} is numerically zero; no inverse exists")
+            return unit.inverse() / c
         return _result(self.w / cns, -self.x / cns, -self.y / cns, -self.z / cns)
 
     def vec_abs(self) -> complex:
@@ -249,6 +255,14 @@ def _invertible(q: Biquaternion, cns: complex) -> bool:
     """The invertibility test, given q's complex norm cns = q * conj(q)."""
     size = q.component_norm()  # squared by *, as float ** raises OverflowError where * gives inf
     return abs(cns) > INVERTIBILITY_TOL * (size * size)
+
+
+def _unit_copy(q: Biquaternion) -> tuple[Biquaternion, float]:
+    """(u, c) with q == u * c: c is the power of two that brings q's largest real
+    component magnitude into [1, 2), so u's squared size is below 8 and q / c is exact
+    but where a component over 2**1000 times smaller than the largest underflows."""
+    c = math.ldexp(1.0, math.frexp(max(map(abs, q.components())))[1] - 1)
+    return q / c, c
 
 
 class _Raw:
@@ -377,6 +391,9 @@ def root_magnitudes(q) -> tuple[float, float]:
     q = as_biquaternion(q)
     s = cmath.sqrt(q.w * q.w - q.complex_norm_sq())
     a, b = abs(q.w + s), abs(q.w - s)
+    if not (math.isfinite(a) and math.isfinite(b)):
+        unit, c = _unit_copy(q)  # q0**2 or cns left double range; the roots scale with q
+        return tuple(r * c for r in root_magnitudes(unit))
     return max(a, b), min(a, b)
 
 

@@ -3,26 +3,26 @@
 Each entry pairs a sequence with the closed form of its transform, the
 convergence radius of the series, and the parameters it was built from:
 
-    const_one          1                  (1 - x**-1)**-1
-    ramp_n             n                  x * (x-1)**-2
-    ramp_n2            n**2               (x**2 + x) * (x-1)**-3
-    pow_p(p)           p**n               (1 - p*x**-1)**-1
-    n_pow_p(p)         n * p**n           p * x**-1 * (1 - p*x**-1)**-2
-    cos_qn(q)          cos(q*n)           (G(e) + G(f)) / 2
-    sin_qn(q)          sin(q*n)           I * (G(f) - G(e)) / 2
-    binom_shifted(m,q) C(n+m, m) * q**n   (1 - x**-1*q)**-m * (1 - q*x**-1)**-1
-    binom(m,q)         C(n, m) * q**n     (x*q**-1 - 1)**-m * (1 - q*x**-1)**-1
-    exp_over_fact(q)   q**n / n!          exp(q * x**-1)
+    const_one          1                    (1 - x**-1)**-1
+    ramp_n             n                    x * (x-1)**-2
+    ramp_n2            n**2                 (x**2 + x) * (x-1)**-3
+    family (m, s)      C(n+m-s, m) * q**n   (q*y)**s * G**m * G
+      pow_p(p)         (0, 0), q = p        p**n
+      n_pow_p(p)       (1, 1), q = p        n * p**n
+      binom_shifted(m,q) (m, 0)             C(n+m, m) * q**n
+      binom(m,q)       (m, m)               C(n, m) * q**n
+    cos_qn(q)          cos(q*n)             (G(e) + G(f)) / 2
+    sin_qn(q)          sin(q*n)             I * (G(f) - G(e)) / 2
+    exp_over_fact(q)   q**n / n!            exp(q * x**-1)
 
-Factor order matters (the algebra is noncommutative) and is exactly as
-written above.  ``n_pow_p`` also knows an ``as_printed`` variant,
-p * (1 - p*x**-1)**-1, which circulates but is inconsistent with both the
-index-scaling rule and direct summation; it is kept only so the discrepancy
-can be demonstrated.
-
-The trig rows take G(r) = (1 - r*x**-1)**-1, e = exp(I*q) and f = exp(-I*q).
-Euler's formula holds for every q, nilpotent vector parts included, because
-the complex unit I commutes with every biquaternion.
+where y = x**-1 and G = G(q) = (1 - q*y)**-1.  The parameterised closed forms
+hold at points x that commute with the parameter, which is where
+verify-catalog samples them, and not elsewhere.  ``n_pow_p`` also knows an
+``as_printed`` variant, p * G, which circulates but is inconsistent with both
+the index-scaling rule and direct summation; it is kept only so the
+discrepancy can be demonstrated.  The trig rows take e = exp(I*q) and
+f = exp(-I*q); Euler's formula holds for every q, nilpotent vector parts
+included, because the complex unit I commutes with every biquaternion.
 
 Terms built from powers are stepped from the previous indices, so summing a
 series costs O(1) operations per term: p**n, its weighted rows and
@@ -47,7 +47,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 from .algebra import ONE, Biquaternion, as_biquaternion, exp, root_magnitudes
@@ -99,27 +99,30 @@ def ramp_n2() -> CatalogEntry:
     return _entry("ramp_n2", {}, 1.0, lambda n: n * n, lambda x: (x * x + x) * (x - ONE).inverse() ** 3)
 
 
-def _geometric(name: str, params: dict, q: Biquaternion, weight, closed) -> CatalogEntry:
-    """Entry with terms q**n, times weight(n) if given, stepped; radius the larger root of q."""
-    return _entry(name, params, root_magnitudes(q)[0], _powers(q, weight), closed)
+def _closed(q: Biquaternion, y: Biquaternion, m: int = 0, s: int = 0) -> Biquaternion:
+    """(q*y)**s * G**m * G, G = (1 - q*y)**-1: the family's one closed form (G for m = s = 0)."""
+    qy = q * y
+    g = (ONE - qy).inverse()
+    value = g**m * g if m else g
+    return qy**s * value if s else value
+
+
+def _family(name: str, params: dict, q: Biquaternion, m: int, s: int) -> CatalogEntry:
+    """Entry for sum C(n+m-s, m) * q**n * x**-n, terms stepped; radius the larger root of q."""
+    # m = 0 weighs each term by 1, which could flip the sign of zero components: unweighted
+    terms = _powers(q, (lambda n: math.comb(n + m - s, m)) if m else None)
+    return _entry(name, params, root_magnitudes(q)[0], terms, lambda x: _closed(q, x.inverse(), m, s))
 
 
 def pow_p(p) -> CatalogEntry:
     p = as_biquaternion(p)
-    # unweighted: a factor of 1 per term could flip the sign of zero components
-    return _geometric("pow_p", {"p": p}, p, None, lambda x: (ONE - p * x.inverse()).inverse())
+    return _family("pow_p", {"p": p}, p, 0, 0)
 
 
 def n_pow_p(p, as_printed: bool = False) -> CatalogEntry:
     p = as_biquaternion(p)
-
-    def ev(x):
-        x_inv = x.inverse()
-        if as_printed:
-            return p * (ONE - p * x_inv).inverse()
-        return p * x_inv * (ONE - p * x_inv).inverse() ** 2
-
-    return _geometric("n_pow_p", {"p": p, "as_printed": as_printed}, p, lambda n: n, ev)
+    entry = _family("n_pow_p", {"p": p, "as_printed": as_printed}, p, 1, 1)
+    return replace(entry, _eval_fn=lambda x: p * _closed(p, x.inverse())) if as_printed else entry
 
 
 def _trig_entry(name: str, q, combine) -> CatalogEntry:
@@ -132,8 +135,8 @@ def _trig_entry(name: str, q, combine) -> CatalogEntry:
     e_pow, f_pow = _powers(e), _powers(f)
 
     def ev(x):
-        x_inv = x.inverse()
-        return combine((ONE - e * x_inv).inverse(), (ONE - f * x_inv).inverse())
+        y = x.inverse()
+        return combine(_closed(e, y), _closed(f, y))
 
     return _entry(name, {"q": q}, radius, lambda n: combine(e_pow(n), f_pow(n)), ev)
 
@@ -166,24 +169,13 @@ def nonnegative_int(key: str, raw) -> int:
 def binom_shifted(m: int, q) -> CatalogEntry:
     m = nonnegative_int("m", m)
     q = as_biquaternion(q)
-
-    def ev(x):
-        x_inv = x.inverse()
-        return (ONE - x_inv * q).inverse() ** m * (ONE - q * x_inv).inverse()
-
-    return _geometric("binom_shifted", {"m": m, "q": q}, q, lambda n: math.comb(n + m, m), ev)
+    return _family("binom_shifted", {"m": m, "q": q}, q, m, 0)
 
 
 def binom(m: int, q) -> CatalogEntry:
     m = nonnegative_int("m", m)
     q = as_biquaternion(q)
-    q_inv = q.inverse()  # required by the closed form
-
-    def ev(x):
-        x_inv = x.inverse()
-        return (x * q_inv - ONE).inverse() ** m * (ONE - q * x_inv).inverse()
-
-    return _geometric("binom", {"m": m, "q": q}, q, lambda n: math.comb(n, m), ev)
+    return _family("binom", {"m": m, "q": q}, q, m, m)
 
 
 def exp_over_fact(q) -> CatalogEntry:

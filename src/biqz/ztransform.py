@@ -277,26 +277,16 @@ def delay_transform(
 
 
 def index_scale_transform(
-    f: Sequence,
-    x,
-    h: float | None = None,
-    eps: float = DEFAULT_EPS,
-    max_terms: int = DEFAULT_MAX_TERMS,
+    f: Sequence, x, eps: float = DEFAULT_EPS, max_terms: int = DEFAULT_MAX_TERMS
 ) -> Biquaternion:
-    """Transform of n -> n*f_n at complex x, via -x * d/dx X[f](x).
+    """Transform of n -> n*f_n at x, summed as its own series by :func:`transform`.
 
-    The derivative is a central difference along the real axis with step
-    ``h`` (default 1e-5 * max(1, |x|)), so the result carries an O(h**2)
-    discretization error on top of the series tolerance.
+    At complex x this is -x * d/dx X[f](x), the index-scaling rule; the
+    weighted series keeps f's radius hint and its certified tail, and takes
+    biquaternion points as well.
     """
-    if isinstance(x, Biquaternion):
-        x = x.to_complex()
-    x = complex(x)
-    if h is None:
-        h = 1e-5 * max(1.0, abs(x))
-    plus = transform(f, x + h, eps=eps, max_terms=max_terms).value
-    minus = transform(f, x - h, eps=eps, max_terms=max_terms).value
-    return (plus - minus) * (-x / (2.0 * h))
+    weighted = Sequence(lambda n: f.term(n) * n, radius_hint=f.radius_hint, name="index_scale")
+    return transform(weighted, x, eps=eps, max_terms=max_terms).value
 
 
 def convolve(f: Sequence, g: Sequence) -> Sequence:

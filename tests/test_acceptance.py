@@ -297,9 +297,12 @@ def test_criterion_5_transform_rule_suite():
     for _ in range(100):
         f = _draw_sequence(rng)
         x = _safe_point(rng, f)
-        weighted = Sequence(lambda n, s=f: s.term(n) * n)
-        got = index_scale_transform(f, x, h=1e-5 * abs(x), eps=1e-13)
-        want = transform(weighted, x, eps=1e-13).value
+        # the rule X[n f_n](x) = -x d/dx X[f](x), by a central difference along the real axis
+        h = 1e-5 * abs(x)
+        plus = transform(f, x + h, eps=1e-13).value
+        minus = transform(f, x - h, eps=1e-13).value
+        want = (plus - minus) * (-x / (2.0 * h))
+        got = index_scale_transform(f, x, eps=1e-13)
         worst = max(worst, comp_dist(got, want) / max(1.0, want.component_norm()))
     checks["n-scaling"] = worst <= 1e-6
 

@@ -202,6 +202,28 @@ class TestInverse:
             want = q.conj() / q.complex_norm_sq()
             assert comp_dist(q.inverse(), want) == 0.0
 
+    def test_in_range_inverses_are_the_direct_quotient_by_repr(self):
+        # the unit-copy retry runs only for refused values: every value the
+        # direct test accepts keeps conj(q) / cns bit for bit, signed zeros included
+        rng = random.Random(22)
+        for _ in range(500):
+            q = rand_biquat(rng, 10.0 ** rng.uniform(-150, 150))
+            assert q.is_invertible()
+            cns = q.complex_norm_sq()
+            want = Biquaternion(q.w / cns, -q.x / cns, -q.y / cns, -q.z / cns)
+            assert repr(q.inverse()) == repr(want)
+
+    @pytest.mark.parametrize("scale", [1e160, 1e300, 1e-170])
+    def test_value_whose_squares_leave_double_range_inverts(self, scale):
+        # cns and the squared size overflow (or underflow), but the test is
+        # scale-free: the copy scaled by a power of two passes it
+        base = Biquaternion(1, 0.5, 0.25j)
+        q = base * scale
+        assert q.is_invertible()
+        for prod in (q * q.inverse(), q.inverse() * q):
+            assert comp_dist(prod, ONE) <= 1e-15
+        assert comp_dist(Biquaternion(scale).inverse(), Biquaternion(1 / scale)) <= 4e-16 / scale
+
 
 class TestVecAbs:
     def test_examples(self):

@@ -9,13 +9,12 @@ from biqz import (
     ONE,
     Biquaternion,
     OutsideROCError,
-    ZeroDivisorError,
     exp,
     transform,
 )
 from biqz.algebra import i, j, k
 
-from helpers import comp_dist, rand_complex_shell, rand_conditioned
+from helpers import comp_dist, rand_complex_shell, rand_conditioned, root_magnitudes
 
 I = 1j
 
@@ -200,6 +199,39 @@ class TestBranchInvariance:
             assert comp_dist(cat.sin_qn(q).eval(x), plus_s) <= 1e-12
 
 
+class TestFamily:
+    """pow_p, n_pow_p, binom_shifted and binom are members (m, s) of one family."""
+
+    def _commuting_points(self, rng, entry, p):
+        points = in_roc_points(rng, entry, 4)
+        for _ in range(4):  # biquaternion points in p's commutant
+            x = p * complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) + complex(rng.uniform(-1, 1), 0.3)
+            points.append(x * (3.0 * max(entry.roc_radius, 0.5) / root_magnitudes(x)[1]))
+        return points
+
+    @pytest.mark.parametrize("alias", [(cat.pow_p, lambda p: cat.binom_shifted(0, p)),
+                                       (cat.n_pow_p, lambda p: cat.binom(1, p))])
+    def test_aliases_agree(self, alias):
+        first, second = alias
+        rng = random.Random(230)
+        for _ in range(10):
+            p = rand_conditioned(rng)
+            a, b = first(p), second(p)
+            assert a.roc_radius == b.roc_radius
+            for n in range(30):
+                assert repr(a.sequence.term(n)) == repr(b.sequence.term(n))
+            for x in self._commuting_points(rng, a, p):
+                assert p.commutes_with(x)
+                assert repr(a.eval(x)) == repr(b.eval(x))
+
+    def test_members_match_their_series_at_commuting_points(self):
+        rng = random.Random(231)
+        for _ in range(5):
+            p = rand_conditioned(rng)
+            for entry in (cat.pow_p(p), cat.n_pow_p(p), cat.binom_shifted(2, p), cat.binom(3, p)):
+                check_entry_against_series(entry, self._commuting_points(rng, entry, p))
+
+
 class TestDomainChecks:
     def test_outside_roc(self):
         with pytest.raises(OutsideROCError):
@@ -207,12 +239,11 @@ class TestDomainChecks:
         with pytest.raises(OutsideROCError):
             cat.pow_p(2 * i).eval(1.0)
 
-    def test_binom_needs_invertible_parameter(self):
-        with pytest.raises(ZeroDivisorError):
-            cat.binom(2, ONE + I * k)
-        # the shifted variant has no q**-1 in its closed form
-        entry = cat.binom_shifted(1, ONE + I * k)
-        assert entry.roc_radius > 1.5
+    def test_binom_takes_a_zero_divisor_parameter(self):
+        # the family's closed form (q*y)**m * G**m * G needs no q**-1
+        for entry in (cat.binom(2, ONE + I * k), cat.binom_shifted(1, ONE + I * k)):
+            assert entry.roc_radius == 2.0
+            check_entry_against_series(entry, [3.0])
 
     def test_m_validation(self):
         with pytest.raises(ValueError):

@@ -77,6 +77,24 @@ class TestEval:
         assert report["errors"] == []
         assert isinstance(report["results"]["tail_bound"], float)
 
+    def test_point_whose_squares_overflow_is_a_value(self, capsys):
+        # cns(1e160) overflows; the point inverts as its power-of-two-scaled copy
+        code, out = run_cli(capsys, "eval", "const_one", "--at", "1e160", "--json")
+        report = json.loads(out, parse_constant=lambda token: pytest.fail(f"non-JSON token {token}"))
+        assert code == 0
+        assert report["pass"] is True
+
+    def test_parameter_whose_squares_overflow_is_outside_roc(self, capsys):
+        code, out = run_cli(capsys, "eval", "pow_p", "--param", "p=1e170", "--at", "2", "--json")
+        report = json.loads(out, parse_constant=lambda token: pytest.fail(f"non-JSON token {token}"))
+        assert code == 3
+        assert report["errors"][0]["name"] == "OutsideROC"
+
+    def test_binom_with_a_zero_divisor_parameter(self, capsys):
+        code, report = run_json(capsys, "eval", "binom", "--param", "m=2", "--param", "q=1+1Ik", "--at", "3")
+        assert code == 0
+        assert report["pass"] is True
+
     def test_params_do_not_carry_over_between_calls(self, capsys):
         code, report = run_json(capsys, "eval", "pow_p", "--param", "p=0.5", "--at", "4")
         assert code == 0

@@ -43,8 +43,9 @@ class TestHypotNorm:
         assert Biquaternion(big, big, big, big).component_norm() == math.inf
 
     def test_inverse_of_a_huge_value_is_a_zero_divisor_error(self):
-        # the squared norm overflows; the test must not raise OverflowError
-        q = Biquaternion(1e160, 1e160)
+        # the squared norm overflows; the test must not raise OverflowError, and
+        # a zero divisor is refused at this scale too (1e160 + 1e160i inverts)
+        q = Biquaternion(1e160, 0, 0, 1e160j)
         assert not q.is_invertible()
         with pytest.raises(ZeroDivisorError):
             q.inverse()

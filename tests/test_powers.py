@@ -101,10 +101,11 @@ def _weighted_rows(rng: random.Random):
     """(name, sequence, ratio, weight) for every weighted catalog row."""
     p = _signed_zero_ratio(rng)
     yield "n_pow_p", cat.n_pow_p(p).sequence, p, lambda n: n
-    for m in (0, 1, 3):
+    # m = 0 rows are pow_p, unweighted (test_pow_p_rows_are_unweighted)
+    for m in (1, 3):
         yield "binom_shifted", cat.binom_shifted(m, p).sequence, p, lambda n, m=m: math.comb(n + m, m)
-    q = rand_biquat(rng, 0.6)  # binom needs an invertible q
-    for m in (0, 1, 3, 5):
+    q = rand_biquat(rng, 0.6)  # a second ratio, with no zero parts
+    for m in (1, 3, 5):
         yield "binom", cat.binom(m, q).sequence, q, lambda n, m=m: math.comb(n, m)
 
 
@@ -128,11 +129,13 @@ class TestWeighted:
                 assert _reprs(term(n)) == _reprs(ref(n) * weight(n)), (name, n)
 
     def test_pow_p_rows_are_unweighted(self):
-        # a weight of 1 could flip the sign of zero parts, so pow_p takes none
+        # a weight of 1 could flip the sign of zero parts, so pow_p takes none,
+        # nor do the family's other m = 0 rows, binom_shifted(0, p) and binom(0, p)
         for p in RATIOS[:20]:
-            seq, ref = cat.pow_p(p).sequence, _reference(p)
-            for n in range(40):
-                assert _reprs(seq.term(n)) == _reprs(ref(n)), (p, n)
+            ref = _reference(p)
+            for entry in (cat.pow_p(p), cat.binom_shifted(0, p), cat.binom(0, p)):
+                for n in range(40):
+                    assert _reprs(entry.sequence.term(n)) == _reprs(ref(n)), (entry.name, p, n)
 
 
 class TestTrigPowers:

@@ -6,6 +6,7 @@ import pytest
 
 import biqz.catalog as cat
 from biqz import ONE, OutsideROCError, exp, transform
+from biqz.algebra import root_magnitudes as library_root_magnitudes
 from biqz.algebra import i, j, k
 
 from helpers import comp_dist, rand_biquat, rand_conditioned, root_magnitudes
@@ -41,6 +42,32 @@ class TestGeometricRows:
             for entry in (cat.pow_p(p), cat.n_pow_p(p), cat.binom_shifted(2, p)):
                 assert math.isclose(entry.roc_radius, want, rel_tol=1e-12), entry.name
                 assert entry.sequence.radius_hint == entry.roc_radius
+
+
+class TestRootsPastTheSquaresRange:
+    def test_in_range_roots_are_the_direct_formula(self):
+        rng = random.Random(73)
+        for _ in range(300):
+            q = rand_biquat(rng, 10.0 ** rng.uniform(-150, 150))
+            assert library_root_magnitudes(q) == root_magnitudes(q)
+
+    @pytest.mark.parametrize("scale", [1e170, 1e300])
+    def test_roots_scale_with_the_parameter(self, scale):
+        # q0**2 and cns leave double range, so the direct formula reads (nan, nan)
+        rng = random.Random(74)
+        for _ in range(20):
+            u = rand_biquat(rng)
+            got = library_root_magnitudes(u * scale)
+            for r, want in zip(got, root_magnitudes(u)):
+                assert math.isclose(r, want * scale, rel_tol=1e-13, abs_tol=1e-13 * scale)
+
+    def test_huge_parameter_refuses_points_inside_its_radius(self):
+        entry = cat.pow_p(1e170)
+        assert entry.roc_radius == 1e170
+        with pytest.raises(OutsideROCError):
+            entry.eval(2)
+        with pytest.raises(OutsideROCError):
+            transform(entry.sequence, 2)
 
 
 class TestTrigRows:

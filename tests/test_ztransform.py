@@ -309,7 +309,7 @@ class TestShifts:
 
 class TestIndexScale:
     def test_all_ones(self):
-        got = index_scale_transform(Sequence.constant(1), 2.0, h=1e-4)
+        got = index_scale_transform(Sequence.constant(1), 2.0)
         assert comp_dist(got, 2.0) <= 1e-6
 
     def test_matches_corrected_weighted_geometric(self):
@@ -323,9 +323,24 @@ class TestIndexScale:
     def test_zero_sequence(self):
         assert index_scale_transform(Sequence.constant(0), 3.0) == ZERO
 
-    def test_requires_scalar_point(self):
-        with pytest.raises(ValueError):
-            index_scale_transform(Sequence.constant(1), i + j)
+    def test_biquaternion_point_commuting_with_p(self):
+        p = 0.3 + 0.4 * i + 0.2j * k
+        x = p * (1.5 + 0.5j) + 2.0  # commutes with p
+        assert p.commutes_with(x)
+        got = index_scale_transform(cat.pow_p(p).sequence, x, eps=1e-15)
+        want = cat.n_pow_p(p).eval(x)
+        assert comp_dist(got, want) <= 1e-13 * want.component_norm()
+
+    @pytest.mark.parametrize("p, x", [(0.5, 2.0), (0.9, 1.0), (0.99, 1.05)])
+    def test_matches_n_pow_p_closed_form(self, p, x):
+        # the weighted series, not a finite difference: the gap is the series' own
+        got = index_scale_transform(cat.pow_p(p).sequence, x)
+        want = cat.n_pow_p(p).eval(x)
+        assert comp_dist(got, want) <= 1e-11 * want.component_norm()
+
+    def test_keeps_the_radius_hint(self):
+        with pytest.raises(OutsideROCError):
+            index_scale_transform(cat.pow_p(2 * i).sequence, 1.5)
 
 
 class TestConvolve:
