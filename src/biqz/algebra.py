@@ -26,8 +26,9 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 
-from .errors import ZeroDivisorError
+from .errors import OutsideROCError, ZeroDivisorError
 
 # is_invertible() / inverse() refuse arguments whose |complex norm| is at most
 # this fraction of component_norm()**2: scale-free, so 1e-150 and 1e150
@@ -41,6 +42,7 @@ DEGENERATE_VEC_TOL = 1e-10
 Scalar = int | float | complex
 _SCALARS = (int, float, complex)
 _isfinite = cmath.isfinite
+_NORMAL_MIN = sys.float_info.min  # below it a square has lost significant bits
 
 
 def _coerce_component(value) -> complex:
@@ -215,7 +217,8 @@ class Biquaternion:
 
     def inverse(self) -> "Biquaternion":
         """conj(q) / (q * conj(q)); raises ZeroDivisorError unless is_invertible().  A q
-        refused because its squares left double range inverts as u**-1 / c, (u, c) = _unit_copy(q)."""
+        refused because its squares left double range or its normal range inverts as
+        u**-1 / c, (u, c) = _unit_copy(q)."""
         cns = self.complex_norm_sq()
         if not _invertible(self, cns):
             unit, c = _unit_copy(self)
@@ -252,9 +255,12 @@ class Biquaternion:
 
 
 def _invertible(q: Biquaternion, cns: complex) -> bool:
-    """The invertibility test, given q's complex norm cns = q * conj(q)."""
+    """The invertibility test, given q's complex norm cns = q * conj(q).  A cns below
+    the normal range has lost significant bits, so it fails here too and the callers
+    test q again as its :func:`_unit_copy`."""
     size = q.component_norm()  # squared by *, as float ** raises OverflowError where * gives inf
-    return abs(cns) > INVERTIBILITY_TOL * (size * size)
+    norm = abs(cns)
+    return norm >= _NORMAL_MIN and norm > INVERTIBILITY_TOL * (size * size)
 
 
 def _unit_copy(q: Biquaternion) -> tuple[Biquaternion, float]:
@@ -387,14 +393,33 @@ def root_magnitudes(q) -> tuple[float, float]:
     Every biquaternion satisfies q**2 = 2*q0*q - cns, so its powers grow
     componentwise like the larger root and its inverse powers like the
     reciprocal of the smaller; the real gauge only sees their geometric mean.
+    Where q0**2 or cns leaves double range, or both fall below its normal range,
+    the roots are those of q's :func:`_unit_copy` u, times c: they scale with q.
     """
     q = as_biquaternion(q)
-    s = cmath.sqrt(q.w * q.w - q.complex_norm_sq())
-    a, b = abs(q.w + s), abs(q.w - s)
-    if not (math.isfinite(a) and math.isfinite(b)):
-        unit, c = _unit_copy(q)  # q0**2 or cns left double range; the roots scale with q
-        return tuple(r * c for r in root_magnitudes(unit))
+    a, b, trusted = _roots(q)
+    if not trusted:
+        unit, c = _unit_copy(q)
+        a, b, _ = _roots(unit)
+        a, b = a * c, b * c
     return max(a, b), min(a, b)
+
+
+def _roots(q: Biquaternion) -> tuple[float, float, bool]:
+    """|q0 + s|, |q0 - s| with s = sqrt(q0**2 - cns), and whether they hold:
+    not where q0**2 or cns left double range, or both fell below its normal range."""
+    w2, cns = q.w * q.w, q.complex_norm_sq()
+    s = cmath.sqrt(w2 - cns)
+    a, b = abs(q.w + s), abs(q.w - s)
+    return a, b, math.isfinite(a) and math.isfinite(b) and (abs(w2) >= _NORMAL_MIN or abs(cns) >= _NORMAL_MIN)
+
+
+def _refuse_inside(x, radius: float, label: str) -> None:
+    """Raise OutsideROCError unless the smaller root magnitude of x, which sets
+    how slowly x**-n decays, is above ``radius``; ``label`` names the radius."""
+    smaller = root_magnitudes(x)[1]
+    if smaller <= radius:
+        raise OutsideROCError(f"smaller root magnitude {smaller} of x <= {label} {radius}")
 
 
 def exp(q) -> Biquaternion:

@@ -50,8 +50,7 @@ import random
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
-from .algebra import ONE, Biquaternion, as_biquaternion, exp, root_magnitudes
-from .errors import OutsideROCError
+from .algebra import ONE, Biquaternion, _refuse_inside, as_biquaternion, exp, root_magnitudes
 from .parsing import parse
 from .sequences import Sequence, _powers, stepped
 
@@ -71,12 +70,7 @@ class CatalogEntry:
     def eval(self, x) -> Biquaternion:
         """Closed-form transform value at x; requires root_magnitudes(x)[1] > roc_radius."""
         x = as_biquaternion(x)
-        smaller = root_magnitudes(x)[1]
-        if smaller <= self.roc_radius:
-            raise OutsideROCError(
-                f"{self.name}: point with smaller root magnitude {smaller} is inside "
-                f"radius {self.roc_radius}"
-            )
+        _refuse_inside(x, self.roc_radius, f"{self.name} radius")
         return self._eval_fn(x)
 
     def __repr__(self):

@@ -10,17 +10,19 @@ with all coefficients multiplying on the right, is iterated forward exactly
 in the transform domain at complex sample points via the shifting rule
 X[f_{.+m}](x) = X[f](x)*x**m - sum_{t<m} f_t * x**(m-t).
 The iteration and the relation check step raw complex components by
-``_hamilton`` and ``_sum_pieces``, building at most one value per term.
+``_hamilton`` and ``_sum_pieces``, building at most one value per term; the
+iteration steps its window of the last M terms through ``sequences._stepper``,
+the primitive behind every forward-stepped sequence that is not a power.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 
-from .algebra import ZERO, Biquaternion, _gap, _hamilton, _result, _sum_pieces, as_biquaternion
+from .algebra import ZERO, Biquaternion, _gap, _hamilton, _refuse_inside, _result, _sum_pieces, as_biquaternion
 from .catalog import CatalogEntry
-from .errors import NoConvergenceError, OutsideROCError, ZeroDivisorError
-from .sequences import Sequence
+from .errors import NoConvergenceError, ZeroDivisorError
+from .sequences import Sequence, _stepper
 from .ztransform import DEFAULT_EPS, DEFAULT_MAX_TERMS, roc_estimate, transform
 
 
@@ -74,27 +76,27 @@ class LinearRecurrence:
     def solution(self) -> Sequence:
         """The forward iteration as a lazily extended sequence: each term is
         (rhs - sum_{m<M} f_{base+m} * p_m) * p_M**-1, built once from raw
-        components bit-identical to those Biquaternion operations."""
+        components bit-identical to those Biquaternion operations.  The window
+        (f_k, ..., f_{k+M-1}) steps through ``sequences._stepper`` from the
+        initial values, and a term n >= M is the last entry of window n-M+1."""
         if self._solution is None:
             lead_inv = self.coeffs[-1].inverse()
             iw, ix, iy, iz = lead_inv.w, lead_inv.x, lead_inv.y, lead_inv.z
-            values = list(self.initial)
+            initial, order = tuple(self.initial), self.order
 
-            def term(n: int) -> Biquaternion:
-                while len(values) <= n:
-                    base = len(values) - self.order
-                    try:
-                        acc, _ = _sum_pieces(self._forcing(base))
-                        (w, x, y, z), _ = _sum_pieces(
-                            zip(values[base:], self.coeffs), acc, subtract=True)
-                        values.append(_result(*_hamilton(w, x, y, z, iw, ix, iy, iz)))
-                    except ValueError as exc:  # a component left double range
-                        raise NoConvergenceError(
-                            f"recurrence solution leaves double range at index {len(values)}"
-                        ) from exc
-                return values[n]
+            def step(k: int, window: tuple[Biquaternion, ...]) -> tuple[Biquaternion, ...]:
+                try:
+                    acc, _ = _sum_pieces(self._forcing(k - 1))
+                    (w, x, y, z), _ = _sum_pieces(zip(window, self.coeffs), acc, subtract=True)
+                    return window[1:] + (_result(*_hamilton(w, x, y, z, iw, ix, iy, iz)),)
+                except ValueError as exc:  # a component left double range
+                    raise NoConvergenceError(
+                        f"recurrence solution leaves double range at index {k - 1 + order}"
+                    ) from exc
 
-            self._solution = Sequence(term, name="recurrence")
+            windows = _stepper(lambda: initial, step)
+            self._solution = Sequence(
+                lambda n: initial[n] if n < order else windows(n - order + 1)[-1], name="recurrence")
         return self._solution
 
     def identity_gap(self, f: Sequence, n: int) -> tuple[float, float]:
@@ -140,8 +142,7 @@ def transform_value(
     x = complex(x)
     if rec._radius is None:
         rec._radius = roc_estimate(rec.solution(), 64)
-    if abs(x) <= rec._radius:
-        raise OutsideROCError(f"|x| = {abs(x)} is not above the estimated radius {rec._radius}")
+    _refuse_inside(x, rec._radius, "estimated radius")
 
     poly = sum([coeff * x**m for m, coeff in enumerate(rec.coeffs)], ZERO)
     if not poly.is_invertible():

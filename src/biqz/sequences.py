@@ -5,19 +5,22 @@ two primitives.  Constant-ratio powers p**n, optionally times a scalar weight,
 go through :func:`_powers`, which steps raw components by the three-term
 recurrence p**(k+1) = 2*p0*p**k - cns(p)*p**(k-1) where p's two roots lie
 apart, and by ``_hamilton`` elsewhere.  Every other recursion goes through
-:func:`_stepper`: the varying factors of :func:`stepped` and the geometric
-recursion of ``ztransform.convolve``.
+:func:`_stepper`: the varying factors of :func:`stepped`, the geometric
+recursion of ``ztransform.convolve`` and the window of the last M terms of a
+``recurrence.LinearRecurrence`` solution.
 """
 from __future__ import annotations
 
 from cmath import isfinite
 from math import inf
-from typing import Callable
+from typing import Callable, TypeVar
 
 from .algebra import ONE, ZERO, Biquaternion, _built, _hamilton, _result, as_biquaternion, root_magnitudes
 
+V = TypeVar("V")  # a stepped value: a Biquaternion, or a recurrence's window of them
 
-def _stepper(start: Callable[[], Biquaternion], step: Callable[[int, Biquaternion], Biquaternion]):
+
+def _stepper(start: Callable[[], V], step: Callable[[int, V], V]) -> Callable[[int], V]:
     """Term function n -> v_n, where v_0 = start() and v_k = step(k, v_{k-1}).
 
     It remembers the last (index, value) it returned and steps forward from
@@ -25,9 +28,9 @@ def _stepper(start: Callable[[], Biquaternion], step: Callable[[int, Biquaternio
     access costs one step per term and any index is reached by a loop.  The
     value at each index is the same whatever the access order.
     """
-    last: tuple[float, Biquaternion | None] = (inf, None)  # any n < inf: the first call starts
+    last: tuple[float, V | None] = (inf, None)  # any n < inf: the first call starts
 
-    def term(n: int) -> Biquaternion:
+    def term(n: int) -> V:
         nonlocal last
         k, value = last  # one snapshot: concurrent callers can only lose reuse
         if n < k:
@@ -112,9 +115,10 @@ class Sequence:
     """A deterministic map from index n >= 0 to a biquaternion.
 
     Terms are memoized, so repeated evaluation at the same index returns the
-    identical value.  Term functions may hold stepping state (:func:`_powers`)
-    yet give each index the same value in any order; nothing is locked, so
-    threads sharing a sequence may compute a term twice (equal, not identical).
+    identical value.  Term functions may hold stepping state (:func:`_powers`,
+    and :func:`_stepper` for :func:`stepped` and recurrence solutions) yet give
+    each index the same value in any order; nothing is locked, so threads
+    sharing a sequence may compute a term twice (equal, not identical).
     ``radius_hint`` optionally records an analytically known convergence
     radius for the sequence's Z transform.  ``ratio`` is the p of a sequence
     built by :meth:`geometric`, whose terms are p**n, and ``None`` on every

@@ -19,8 +19,9 @@ from dataclasses import dataclass
 from cmath import isfinite
 from math import copysign, hypot, inf, isinf
 
-from .algebra import ONE, Biquaternion, _hamilton, _result, as_biquaternion, root_magnitudes, sum_products
-from .errors import DivergentSeriesError, NoConvergenceError, OutsideROCError
+from .algebra import (ONE, Biquaternion, _hamilton, _refuse_inside, _result, as_biquaternion,
+                      root_magnitudes, sum_products)
+from .errors import DivergentSeriesError, NoConvergenceError
 from .sequences import Sequence, _powers, _stepper, advance, delay
 
 # window length for the geometric-tail ratio test
@@ -111,10 +112,8 @@ def transform(
         raise ValueError("max_terms must be positive")
     x = as_biquaternion(x)
     x_inv = x.inverse()  # ZeroDivisorError for non-invertible points
-    if f.radius_hint is not None and root_magnitudes(x)[1] <= f.radius_hint:
-        raise OutsideROCError(
-            f"smaller root magnitude {root_magnitudes(x)[1]} of x <= radius hint {f.radius_hint}"
-        )
+    if f.radius_hint is not None:
+        _refuse_inside(x, f.radius_hint, "radius hint")
 
     # total = total + f_n * x_pow; x_pow = x_pow * x_inv, over components
     first = f.term(0)

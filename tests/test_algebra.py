@@ -4,6 +4,7 @@ import copy
 import math
 import pickle
 import random
+import sys
 
 import pytest
 
@@ -223,6 +224,16 @@ class TestInverse:
         for prod in (q * q.inverse(), q.inverse() * q):
             assert comp_dist(prod, ONE) <= 1e-15
         assert comp_dist(Biquaternion(scale).inverse(), Biquaternion(1 / scale)) <= 4e-16 / scale
+
+    @pytest.mark.parametrize("scale", [1e-155, 1e-158, 1e-160, 1e-162])
+    def test_value_whose_complex_norm_is_subnormal_inverts_accurately(self, scale):
+        # cns is subnormal, so dividing by it directly loses most of its bits
+        # (1.1e-5 at 1e-160); below the normal range the unit copy is inverted
+        q = Biquaternion(1, 0.5) * scale
+        assert abs(q.complex_norm_sq()) < sys.float_info.min
+        assert q.is_invertible()
+        for prod in (q * q.inverse(), q.inverse() * q):
+            assert comp_dist(prod, ONE) <= 1e-15
 
 
 class TestVecAbs:

@@ -90,6 +90,13 @@ class TestEval:
         assert code == 3
         assert report["errors"][0]["name"] == "OutsideROC"
 
+    def test_parameter_whose_squares_underflow_is_outside_roc(self, capsys):
+        # the radius is 1e-170, not 0, so the 2-term series is never summed
+        code, out = run_cli(capsys, "eval", "pow_p", "--param", "p=1e-170i", "--at", "1e-171", "--json")
+        report = json.loads(out, parse_constant=lambda token: pytest.fail(f"non-JSON token {token}"))
+        assert code == 3
+        assert report["errors"][0]["name"] == "OutsideROC"
+
     def test_binom_with_a_zero_divisor_parameter(self, capsys):
         code, report = run_json(capsys, "eval", "binom", "--param", "m=2", "--param", "q=1+1Ik", "--at", "3")
         assert code == 0

@@ -2,6 +2,8 @@
 to the loop of Biquaternion operations in ``helpers``, overflow included."""
 import json
 import random
+import sys
+import threading
 
 import pytest
 
@@ -88,6 +90,43 @@ def test_signed_zero_operands_keep_their_signs():
     for n in range(5):
         assert _reprs(rec.solution().term(n)) == _reprs(reference_solution(rec).term(n))
     assert _reprs(rec.rhs(0)) == _reprs(reference_rhs(rec, 0))
+
+
+@pytest.mark.parametrize("seed", range(1640, 1646))
+def test_any_access_order_matches_the_in_order_reference(seed):
+    # the solution steps a window of M terms from the initial values, so a
+    # cold high index and every index below it after that give the same bits
+    rec = _recurrence(seed, rand_biquat)
+    want = reference_solution(rec)
+    got = rec.solution()
+    for n in [25, 3, 0, 40, *range(39, -1, -1)]:
+        assert _reprs(got.term(n)) == _reprs(want.term(n)), (seed, n)
+
+
+def test_threads_sharing_a_fresh_solution_get_the_in_order_values():
+    rec = LinearRecurrence([-0.25, -0.5, 1.0], [1.0, 2.0])  # f(n+2) = 0.5 f(n+1) + 0.25 f(n)
+    want = [_reprs(v) for v in rec.solution().prefix(300)]
+    wrong = []
+
+    def worker(solution):
+        for n in range(300):
+            if _reprs(solution.term(n)) != want[n]:
+                wrong.append(n)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(200):
+            shared = LinearRecurrence(rec.coeffs, rec.initial).solution()
+            threads = [threading.Thread(target=worker, args=(shared,)) for _ in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+    finally:
+        sys.setswitchinterval(old)
+    assert wrong == []
 
 
 def _error(run):

@@ -61,6 +61,25 @@ class TestRootsPastTheSquaresRange:
             for r, want in zip(got, root_magnitudes(u)):
                 assert math.isclose(r, want * scale, rel_tol=1e-13, abs_tol=1e-13 * scale)
 
+    @pytest.mark.parametrize("scale", [1e-160, 1e-170, 1e-300])
+    def test_roots_of_a_tiny_parameter_scale_with_it(self, scale):
+        # q0**2 and cns fall below the normal range (to 0 past 1e-162)
+        rng = random.Random(75)
+        for _ in range(20):
+            u = rand_biquat(rng)
+            got = library_root_magnitudes(u * scale)
+            for r, want in zip(got, root_magnitudes(u)):
+                assert math.isclose(r, want * scale, rel_tol=1e-13, abs_tol=1e-13 * scale)
+        assert library_root_magnitudes(i * scale) == (scale, scale)
+
+    def test_tiny_parameter_refuses_points_inside_its_radius(self):
+        entry = cat.pow_p(1e-170 * i)
+        assert entry.roc_radius == 1e-170
+        with pytest.raises(OutsideROCError):
+            entry.eval(1e-171)
+        with pytest.raises(OutsideROCError):
+            transform(entry.sequence, 1e-171)
+
     def test_huge_parameter_refuses_points_inside_its_radius(self):
         entry = cat.pow_p(1e170)
         assert entry.roc_radius == 1e170

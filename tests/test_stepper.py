@@ -1,5 +1,6 @@
-"""The one stepping primitive behind stepped powers and the geometric-kernel
-convolution, and the ascending reads of the general convolve path."""
+"""The stepping primitive behind ``stepped`` factor products, the
+geometric-kernel convolution and recurrence solutions, and the ascending
+reads of the general convolve path."""
 import random
 
 import pytest
