@@ -428,15 +428,19 @@ def exp(q) -> Biquaternion:
     For |vec_abs(q)| away from zero this is
     e**q0 * (cos(|v|) + (v/|v|) * sin(|v|)) with v the vector part and complex
     cos/sin; when |vec_abs(q)| is numerically zero (which includes nilpotent
-    vector parts, v*v == 0) it degenerates to e**q0 * (1 + v).
+    vector parts, v*v == 0) it degenerates to e**q0 * (1 + v).  A result
+    past double range raises the constructor's ValueError.
     """
     q = as_biquaternion(q)
-    e0 = cmath.exp(q.w)
     va = q.vec_abs()
-    if abs(va) < DEGENERATE_VEC_TOL:
-        return Biquaternion(e0, e0 * q.x, e0 * q.y, e0 * q.z)
-    c = cmath.cos(va)
-    s = cmath.sin(va) / va
+    try:
+        e0 = cmath.exp(q.w)
+        if abs(va) < DEGENERATE_VEC_TOL:
+            return Biquaternion(e0, e0 * q.x, e0 * q.y, e0 * q.z)
+        c = cmath.cos(va)
+        s = cmath.sin(va) / va
+    except OverflowError:  # cmath's "math range error"
+        raise ValueError(f"non-finite biquaternion component: exp of {q!r} leaves double range") from None
     return Biquaternion(e0 * c, e0 * s * q.x, e0 * s * q.y, e0 * s * q.z)
 
 

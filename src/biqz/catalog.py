@@ -3,19 +3,20 @@
 Each entry pairs a sequence with the closed form of its transform, the
 convergence radius of the series, and the parameters it was built from:
 
-    const_one          1                    (1 - x**-1)**-1
-    ramp_n             n                    x * (x-1)**-2
-    ramp_n2            n**2                 (x**2 + x) * (x-1)**-3
     family (m, s)      C(n+m-s, m) * q**n   (q*y)**s * G**m * G
+      const_one        (0, 0), q = 1        1
+      ramp_n           (1, 1), q = 1        n
       pow_p(p)         (0, 0), q = p        p**n
       n_pow_p(p)       (1, 1), q = p        n * p**n
       binom_shifted(m,q) (m, 0)             C(n+m, m) * q**n
       binom(m,q)       (m, m)               C(n, m) * q**n
+    ramp_n2            n**2                 y * (1 + y) * G(1)**3
     cos_qn(q)          cos(q*n)             (G(e) + G(f)) / 2
     sin_qn(q)          sin(q*n)             I * (G(f) - G(e)) / 2
-    exp_over_fact(q)   q**n / n!            exp(q * x**-1)
+    exp_over_fact(q)   q**n / n!            exp(q * y)
 
-where y = x**-1 and G = G(q) = (1 - q*y)**-1.  The parameterised closed forms
+where y = x**-1 and G = G(q) = (1 - q*y)**-1; every closed form is a function
+of y, which ``CatalogEntry.eval`` inverts once.  The parameterised closed forms
 hold at points x that commute with the parameter, which is where
 verify-catalog samples them, and not elsewhere.  ``n_pow_p`` also knows an
 ``as_printed`` variant, p * G, which circulates but is inconsistent with both
@@ -31,14 +32,13 @@ recurrence p**(k+1) = 2*p0*p**k - cns(p)*p**(k-1) where the ratio's roots lie
 apart, one product elsewhere), q**n / n! by one product over values
 (``sequences.stepped``).
 
-Convergence radii are exact and computed once per entry from the scalar roots
-q0 +- sqrt(q0**2 - cns) of the ratio (every biquaternion satisfies
-q**2 = 2*q0*q - cns, so its powers grow componentwise like the larger root
-magnitude).  Geometric and binomial rows take the larger root of their
-parameter, cos/sin the larger root of exp(+-I*q), and exp_over_fact is
-entire.  The real gauge of the parameter would understate growth near the
-zero-divisor variety: powers of 1 + 1Ik double componentwise although its
-real gauge is 0.
+Convergence radii are exact, computed once per entry by one rule: the larger
+root magnitude of the ratio, from its scalar roots q0 +- sqrt(q0**2 - cns)
+(every biquaternion satisfies q**2 = 2*q0*q - cns, so its powers grow
+componentwise like the larger root).  The ratio is q for family rows, 1 for
+ramp_n2, the larger of exp(+-I*q) for cos/sin; exp_over_fact is entire.  The
+real gauge would understate growth near the zero-divisor variety: powers of
+1 + 1Ik double componentwise although its real gauge is 0.
 
 A row is added in one place, ``ROWS``: its builder, the names of its
 parameters and the verify-catalog sampler that draws them.
@@ -60,7 +60,7 @@ class CatalogEntry:
     name: str
     params: dict
     sequence: Sequence
-    _eval_fn: Callable[[Biquaternion], Biquaternion] = field(repr=False)
+    _eval_fn: Callable[[Biquaternion], Biquaternion] = field(repr=False)  # of y = x**-1
 
     @property
     def roc_radius(self) -> float:
@@ -71,7 +71,7 @@ class CatalogEntry:
         """Closed-form transform value at x; requires root_magnitudes(x)[1] > roc_radius."""
         x = as_biquaternion(x)
         _refuse_inside(x, self.roc_radius, f"{self.name} radius")
-        return self._eval_fn(x)
+        return self._eval_fn(x.inverse())
 
     def __repr__(self):
         return f"CatalogEntry({self.name}, params={self.params}, roc_radius={self.roc_radius})"
@@ -79,18 +79,6 @@ class CatalogEntry:
 
 def _entry(name: str, params: dict, radius: float, term, closed) -> CatalogEntry:
     return CatalogEntry(name, params, Sequence(term, radius_hint=radius, name=name), closed)
-
-
-def const_one() -> CatalogEntry:
-    return _entry("const_one", {}, 1.0, lambda n: ONE, lambda x: (ONE - x.inverse()).inverse())
-
-
-def ramp_n() -> CatalogEntry:
-    return _entry("ramp_n", {}, 1.0, lambda n: n, lambda x: x * (x - ONE).inverse() ** 2)
-
-
-def ramp_n2() -> CatalogEntry:
-    return _entry("ramp_n2", {}, 1.0, lambda n: n * n, lambda x: (x * x + x) * (x - ONE).inverse() ** 3)
 
 
 def _closed(q: Biquaternion, y: Biquaternion, m: int = 0, s: int = 0) -> Biquaternion:
@@ -105,7 +93,19 @@ def _family(name: str, params: dict, q: Biquaternion, m: int, s: int) -> Catalog
     """Entry for sum C(n+m-s, m) * q**n * x**-n, terms stepped; radius the larger root of q."""
     # m = 0 weighs each term by 1, which could flip the sign of zero components: unweighted
     terms = _powers(q, (lambda n: math.comb(n + m - s, m)) if m else None)
-    return _entry(name, params, root_magnitudes(q)[0], terms, lambda x: _closed(q, x.inverse(), m, s))
+    return _entry(name, params, root_magnitudes(q)[0], terms, lambda y: _closed(q, y, m, s))
+
+
+def const_one() -> CatalogEntry:
+    return _family("const_one", {}, ONE, 0, 0)
+
+
+def ramp_n() -> CatalogEntry:
+    return _family("ramp_n", {}, ONE, 1, 1)
+
+
+def ramp_n2() -> CatalogEntry:
+    return _entry("ramp_n2", {}, 1.0, lambda n: n * n, lambda y: (y + y * y) * _closed(ONE, y, 2))
 
 
 def pow_p(p) -> CatalogEntry:
@@ -116,23 +116,18 @@ def pow_p(p) -> CatalogEntry:
 def n_pow_p(p, as_printed: bool = False) -> CatalogEntry:
     p = as_biquaternion(p)
     entry = _family("n_pow_p", {"p": p, "as_printed": as_printed}, p, 1, 1)
-    return replace(entry, _eval_fn=lambda x: p * _closed(p, x.inverse())) if as_printed else entry
+    return replace(entry, _eval_fn=lambda y: p * _closed(p, y)) if as_printed else entry
 
 
 def _trig_entry(name: str, q, combine) -> CatalogEntry:
     # combine(a, b) joins the parts with ratios exp(+-I*q): their n-th powers
     # for the terms, their geometric sums for the closed form
     q = as_biquaternion(q)
-    # roots q0 +- I*vec_abs of q give exp(+-I*q) root magnitudes exp(-+Im q0 +- Re vec_abs)
-    radius = math.exp(abs(q.vec_abs().real) + abs(q.w.imag))
     e, f = exp(q * 1j), exp(q * -1j)
     e_pow, f_pow = _powers(e), _powers(f)
-
-    def ev(x):
-        y = x.inverse()
-        return combine(_closed(e, y), _closed(f, y))
-
-    return _entry(name, {"q": q}, radius, lambda n: combine(e_pow(n), f_pow(n)), ev)
+    radius = max(root_magnitudes(e)[0], root_magnitudes(f)[0])
+    return _entry(name, {"q": q}, radius, lambda n: combine(e_pow(n), f_pow(n)),
+                  lambda y: combine(_closed(e, y), _closed(f, y)))
 
 
 def cos_qn(q) -> CatalogEntry:
@@ -175,7 +170,7 @@ def binom(m: int, q) -> CatalogEntry:
 def exp_over_fact(q) -> CatalogEntry:
     q = as_biquaternion(q)
     term = stepped(ONE, lambda n: q / n)
-    return _entry("exp_over_fact", {"q": q}, 0.0, term, lambda x: exp(q * x.inverse()))  # entire
+    return _entry("exp_over_fact", {"q": q}, 0.0, term, lambda y: exp(q * y))  # entire
 
 
 def draw_conditioned(rng: random.Random) -> Biquaternion:

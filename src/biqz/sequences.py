@@ -75,8 +75,8 @@ def _powers(p: Biquaternion, weight: Callable[[int], int] | None = None):
     ``stepped(ONE, lambda _: p)``.  Each step is checked finite; a non-finite
     three-term step is redone as the product from p**k, which raises only
     where it leaves double range too, so an overflow raises the product's
-    ValueError at the product's index.  (index, p**k, p**(k-1)) is one
-    snapshot.
+    ValueError at the product's index, and so does a weight past double range.
+    (index, p**k, p**(k-1)) is one snapshot.
     """
     pw, px, py, pz = p.w, p.x, p.y, p.z
     rho = root_magnitudes(p)[0]
@@ -106,7 +106,10 @@ def _powers(p: Biquaternion, weight: Callable[[int], int] | None = None):
         if weight is None:
             return _built(*now)  # checked at their step
         c = weight(n)
-        return _result(now[0] * c, now[1] * c, now[2] * c, now[3] * c)
+        try:
+            return _result(now[0] * c, now[1] * c, now[2] * c, now[3] * c)
+        except OverflowError:  # the int weight is past double range
+            raise ValueError(f"non-finite biquaternion component: the weight at index {n}") from None
 
     return term
 

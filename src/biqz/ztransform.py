@@ -84,10 +84,12 @@ def transform(
     Terms are summed until the largest term-ratio over the last
     ``_RATIO_WINDOW`` steps drops below 1 and the implied geometric tail
     bound falls below ``eps``, or until the run stops early (see
-    :class:`TransformValue`).  Raises NoConvergenceError when terms keep
-    growing, and OutsideROCError when a radius hint on ``f`` already rules
-    the point out: the smaller root magnitude of x, which sets how slowly
-    x**-n decays, is not above it.
+    :class:`TransformValue`).  The window records no ratio while every term so
+    far is zero, so a leading run of zeros certifies nothing, and an all-zero
+    sequence runs to ``max_terms`` and returns 0 uncertified.  Raises
+    NoConvergenceError when terms keep growing, and OutsideROCError when a
+    radius hint on ``f`` already rules the point out: the smaller root
+    magnitude of x, which sets how slowly x**-n decays, is not above it.
 
     Each step fuses the product f_n * x**-n, the running sum and the next
     power x**-(n+1) over raw complex components, by ``_hamilton`` and
@@ -155,19 +157,19 @@ def transform(
         used = n + 1
         if prev_size == 0.0:
             ratio = inf if size > 0.0 else 0.0
+            if ratio or ratios:  # no ratio while every term so far is zero
+                ratios.append(ratio)
         else:
             ratio = size / prev_size
-        ratios.append(ratio)
+            ratios.append(ratio)
         prev_size = size
         # the window's max is at least this ratio, and the rounded tail
         # size*r/(1-r) does not fall as r grows, so a window can certify only
         # where its newest ratio alone would: skip the scan otherwise
         if ratio < 1.0 and size * ratio / (1.0 - ratio) <= eps and len(ratios) == _RATIO_WINDOW:
             r = max(ratios)
-            if r < 1.0:
-                tail = size * r / (1.0 - r)
-                if tail <= eps:
-                    return TransformValue(_result(tw, tx, ty, tz), n + 1, tail)
+            if r < 1.0 and size * r / (1.0 - r) <= eps:
+                break  # certified: the window test below returns this tail
         # unchecked: past double range, x**-n makes the next product inf or NaN
         if scaled:
             qw = qw * iw

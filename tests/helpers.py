@@ -167,7 +167,8 @@ def reference_transform(f: Sequence, x, eps: float = 1e-12, max_terms: int = 409
         total = total + term
         used = n + 1
         if prev_size == 0.0:
-            ratios.append(math.inf if size > 0.0 else 0.0)
+            if size > 0.0 or ratios:  # no ratio while every term so far is zero
+                ratios.append(math.inf if size > 0.0 else 0.0)
         else:
             ratios.append(size / prev_size)
         prev_size = size

@@ -200,7 +200,7 @@ class TestBranchInvariance:
 
 
 class TestFamily:
-    """pow_p, n_pow_p, binom_shifted and binom are members (m, s) of one family."""
+    """const_one, ramp_n, pow_p, n_pow_p, binom_shifted and binom are members (m, s) of one family."""
 
     def _commuting_points(self, rng, entry, p):
         points = in_roc_points(rng, entry, 4)
@@ -230,6 +230,16 @@ class TestFamily:
             p = rand_conditioned(rng)
             for entry in (cat.pow_p(p), cat.n_pow_p(p), cat.binom_shifted(2, p), cat.binom(3, p)):
                 check_entry_against_series(entry, self._commuting_points(rng, entry, p))
+
+
+    def test_ramp_is_n_pow_p_at_one(self):
+        # const_one and ramp_n are the family rows (0, 0) and (1, 1) at q = 1
+        rng = random.Random(232)
+        for _ in range(50):
+            x = rand_conditioned(rng)
+            x = x * (rng.uniform(1.5, 4.0) / root_magnitudes(x)[1])
+            assert cat.ramp_n().eval(x) == cat.n_pow_p(1).eval(x)
+            assert cat.const_one().eval(x) == cat.pow_p(1).eval(x)
 
 
 class TestDomainChecks:

@@ -16,10 +16,10 @@ ROOT = Path(__file__).resolve().parent.parent
 
 GOLDENS = {
     "paper-suite --json": "7feda466ecbfa5c24eb18df323fd3c0c01260a8800f992198d4f583f05fcd599",
-    "verify-catalog --json --seed 0": "2f29552e300b4bef5148a8a92ae5f1c535d526f3328a756437a013df0fb31365",
-    "verify-catalog --json --seed 1": "18c78740a755492acecefafcf2d026309a8bd09c8fa85e7762205fed0db772af",
-    "verify-catalog --json --seed 2": "ba9f0f055309f51c24a083a2c7eef96a5b569721fe227f14ef521f0cb28a80ad",
-    "verify-catalog --json --seed 3": "269775b9da4eb1a4524396978d9d0b514f0604f3091f834c3dfffe3d3eac63c4",
+    "verify-catalog --json --seed 0": "2e7eb43835d07517c8d001567633543fa0a7772c49da90d9dd518d190d9d21da",
+    "verify-catalog --json --seed 1": "916fa7ceebd92a26278cb298e2e5b7cf62b35bda3a768a471d4129585763c9d3",
+    "verify-catalog --json --seed 2": "34a30337a2bb43acba848db45ef172e9f784b2b92a473037008400c10e5520e6",
+    "verify-catalog --json --seed 3": "676066fee0d7f9aecd447948e99300618dc6b425ba782e480ffac6ac593fca30",
     "recurrence src/biqz/specs/example1.json --json": "449f0bc6ca78ed0db30b041f9a88b49f085ad97b9943693a28ef67af374f79d7",
     "recurrence src/biqz/specs/example2.json --json": "5031ba5120cf8eeb72a87d7ff395872abefedb425c06c17ac163d19cb5c89921",
     "recurrence src/biqz/specs/example3.json --json": "23fb6fba6f825fc9810376c74d200d581e7a5f4ccb3147c9a21738561cc4fe1c",

@@ -209,6 +209,11 @@ class TestOverflow:
         message = _failure(_powers(big, lambda n: 1e10 * n), 1)
         assert message is not None and message == _failure(lambda n: ref(n) * (1e10 * n), 1)
 
+    def test_int_weight_past_double_range_raises_value_error(self):
+        # C(1100, 400) is about 1e312, past the largest double, while 0.5**1100 is finite
+        with pytest.raises(ValueError, match="non-finite biquaternion component"):
+            cat.binom(400, 0.5).sequence.term(1100)
+
 
 U = 2.0**-53  # unit roundoff
 

@@ -99,6 +99,15 @@ class TestTrigRows:
             for entry in (cat.cos_qn(q), cat.sin_qn(q)):
                 assert math.isclose(entry.roc_radius, want, rel_tol=1e-9), (entry.name, q)
 
+    def test_radius_is_the_catalog_root_rule(self):
+        # the rule of every stepped row: the larger root magnitude of the ratios
+        rng = random.Random(73)
+        for _ in range(40):
+            for q in (rand_conditioned(rng), complex(rng.uniform(-2, 2), rng.uniform(-2, 2))):
+                e, f = exp(q * 1j), exp(q * -1j)
+                want = max(library_root_magnitudes(e)[0], library_root_magnitudes(f)[0])
+                assert cat.cos_qn(q).roc_radius == want == cat.sin_qn(q).roc_radius, q
+
     def test_degenerate_branch_grows_like_cos_of_scalar(self):
         for q0 in (0.3 + 0.4j, -1.2 - 0.7j, 2.0):
             want = math.exp(abs(q0.imag))

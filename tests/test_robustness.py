@@ -1,10 +1,10 @@
-"""Scale-free inverses, malformed specs, and long recurrence verification."""
+"""Scale-free inverses, malformed specs, double-range failures, and long recurrence verification."""
 import json
 from importlib import resources
 
 import pytest
 
-from biqz import ONE, ZERO, Biquaternion, LiteralParseError, ZeroDivisorError, parse
+from biqz import ONE, ZERO, Biquaternion, LiteralParseError, ZeroDivisorError, exp, parse
 from biqz.algebra import i, k
 from biqz.cli import main
 
@@ -53,6 +53,27 @@ class TestMalformedSpecs:
         assert code == 2
         assert report["errors"][0]["name"] == "Value"
         assert "JSON object" in report["errors"][0]["message"]
+
+
+class TestDoubleRange:
+    def test_weight_past_double_range_is_a_domain_error(self, capsys, tmp_path):
+        forcing = {"catalog": "binom", "params": {"m": 400, "q": "0.5"}, "coeffs": ["1"]}
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"coeffs": ["-0.5", "1"], "initial": ["0"], "forcing": [forcing]}))
+        code = main(["recurrence", str(spec), "--terms", "1200", "--json"])
+        report = json.loads(capsys.readouterr().out)
+        assert code == 3
+        assert report["errors"][0]["name"] == "NoConvergence"
+
+    def test_exp_past_double_range_raises_value_error(self):
+        with pytest.raises(ValueError, match="non-finite biquaternion component"):
+            exp(Biquaternion(800))
+
+    def test_trig_parameter_past_double_range_is_a_value_error(self, capsys):
+        code = main(["eval", "cos_qn", "--param", "q=1000I", "--at", "2", "--json"])
+        report = json.loads(capsys.readouterr().out)
+        assert code == 2
+        assert report["errors"][0]["name"] == "Value"
 
 
 class TestLongVerification:

@@ -162,6 +162,24 @@ class TestTransform:
         assert tv.tail_bound == 0.0
         assert comp_dist(tv.value, partial_transform(seq, 2, 3)) <= 1e-15
 
+    @pytest.mark.parametrize("m, q", [(9, 0.5), (12, 0.5 + 0.2j)])
+    def test_leading_zeros_do_not_certify(self, m, q):
+        # C(n, m) * q**n is zero for n < m: a window of those zeros proves nothing
+        entry = cat.binom(m, q)
+        tv = transform(entry.sequence, 2)
+        assert tv.certified and tv.terms_used > m + 8
+        assert comp_dist(tv.value, entry.eval(2)) <= tv.tail_bound + 1e-12
+
+    def test_term_after_twenty_zeros_is_summed(self):
+        tv = transform(Sequence.from_terms([0] * 20 + [1]), 2)
+        assert tv.certified
+        assert tv.value == Biquaternion(2.0**-20)
+
+    def test_all_zero_sequence_is_uncertified(self):
+        tv = transform(Sequence.constant(0), 2, max_terms=100)
+        assert tv.value == ZERO
+        assert tv.terms_used == 100 and not tv.certified
+
     def test_invalid_args(self):
         seq = Sequence.constant(1)
         with pytest.raises(ValueError):
