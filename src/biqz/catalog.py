@@ -27,10 +27,12 @@ included, because the complex unit I commutes with every biquaternion.
 
 Terms built from powers are stepped from the previous indices, so summing a
 series costs O(1) operations per term: p**n, its weighted rows and
-exp(+-I*q)**n over raw components (``sequences._powers``: the three-term
+exp(+-I*q)**n over raw components (``sequences._power_steps``: the three-term
 recurrence p**(k+1) = 2*p0*p**k - cns(p)*p**(k-1) where the ratio's roots lie
 apart, one product elsewhere), q**n / n! by one product over values
-(``sequences.stepped``).
+(``sequences.stepped``).  A trig term steps both powers raw and is built once
+from their joined components.  Each ratio's root magnitudes are taken once,
+for its radius and for the core's guard.
 
 Convergence radii are exact, computed once per entry by one rule: the larger
 root magnitude of the ratio, from its scalar roots q0 +- sqrt(q0**2 - cns)
@@ -50,9 +52,9 @@ import random
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
-from .algebra import ONE, Biquaternion, _refuse_inside, as_biquaternion, exp, root_magnitudes
+from .algebra import ONE, Biquaternion, _built, _refuse_inside, _result, as_biquaternion, exp, root_magnitudes
 from .parsing import parse
-from .sequences import Sequence, _powers, stepped
+from .sequences import Sequence, _power_steps, _values, stepped
 
 
 @dataclass(frozen=True, eq=False)
@@ -91,9 +93,10 @@ def _closed(q: Biquaternion, y: Biquaternion, m: int = 0, s: int = 0) -> Biquate
 
 def _family(name: str, params: dict, q: Biquaternion, m: int, s: int) -> CatalogEntry:
     """Entry for sum C(n+m-s, m) * q**n * x**-n, terms stepped; radius the larger root of q."""
+    rho = root_magnitudes(q)[0]
     # m = 0 weighs each term by 1, which could flip the sign of zero components: unweighted
-    terms = _powers(q, (lambda n: math.comb(n + m - s, m)) if m else None)
-    return _entry(name, params, root_magnitudes(q)[0], terms, lambda y: _closed(q, y, m, s))
+    terms = _values(_power_steps(q, rho), (lambda n: math.comb(n + m - s, m)) if m else None)
+    return _entry(name, params, rho, terms, lambda y: _closed(q, y, m, s))
 
 
 def const_one() -> CatalogEntry:
@@ -119,23 +122,41 @@ def n_pow_p(p, as_printed: bool = False) -> CatalogEntry:
     return replace(entry, _eval_fn=lambda y: p * _closed(p, y)) if as_printed else entry
 
 
-def _trig_entry(name: str, q, combine) -> CatalogEntry:
-    # combine(a, b) joins the parts with ratios exp(+-I*q): their n-th powers
-    # for the terms, their geometric sums for the closed form
+def _trig_entry(name: str, q, combine, raw) -> CatalogEntry:
+    # combine(a, b) joins the parts with ratios exp(+-I*q): their geometric
+    # sums for the closed form; raw joins the components of their n-th powers
+    # in combine's operand order, one value built per term
     q = as_biquaternion(q)
     e, f = exp(q * 1j), exp(q * -1j)
-    e_pow, f_pow = _powers(e), _powers(f)
-    radius = max(root_magnitudes(e)[0], root_magnitudes(f)[0])
-    return _entry(name, {"q": q}, radius, lambda n: combine(e_pow(n), f_pow(n)),
-                  lambda y: combine(_closed(e, y), _closed(f, y)))
+    rho_e, rho_f = root_magnitudes(e)[0], root_magnitudes(f)[0]
+    e_pow, f_pow = _power_steps(e, rho_e), _power_steps(f, rho_f)
+
+    def term(n: int) -> Biquaternion:
+        a, b = e_pow(n), f_pow(n)  # e first: where both powers overflow, e's error is raised
+        try:
+            return raw(a, b)
+        except ValueError:  # the joined components left double range: raise as the values do
+            return combine(_built(*a), _built(*b))
+
+    return _entry(name, {"q": q}, max(rho_e, rho_f), term, lambda y: combine(_closed(e, y), _closed(f, y)))
+
+
+def _half_sum(a, b) -> Biquaternion:
+    (aw, ax, ay, az), (bw, bx, by, bz) = a, b
+    return _result((aw + bw) * 0.5, (ax + bx) * 0.5, (ay + by) * 0.5, (az + bz) * 0.5)
+
+
+def _half_i_difference(a, b) -> Biquaternion:
+    (aw, ax, ay, az), (bw, bx, by, bz) = a, b
+    return _result((bw - aw) * 0.5j, (bx - ax) * 0.5j, (by - ay) * 0.5j, (bz - az) * 0.5j)
 
 
 def cos_qn(q) -> CatalogEntry:
-    return _trig_entry("cos_qn", q, lambda a, b: (a + b) * 0.5)
+    return _trig_entry("cos_qn", q, lambda a, b: (a + b) * 0.5, _half_sum)
 
 
 def sin_qn(q) -> CatalogEntry:
-    return _trig_entry("sin_qn", q, lambda a, b: (b - a) * 0.5j)
+    return _trig_entry("sin_qn", q, lambda a, b: (b - a) * 0.5j, _half_i_difference)
 
 
 def nonnegative_int(key: str, raw) -> int:

@@ -1,10 +1,12 @@
 """Lazily evaluated biquaternion sequences f_0, f_1, f_2, ...
 
 Forward-stepped terms, each reached from the one before, go through one of
-two primitives.  Constant-ratio powers p**n, optionally times a scalar weight,
-go through :func:`_powers`, which steps raw components by the three-term
-recurrence p**(k+1) = 2*p0*p**k - cns(p)*p**(k-1) where p's two roots lie
-apart, and by ``_hamilton`` elsewhere.  Every other recursion goes through
+two primitives.  Constant-ratio powers p**n go through one power core,
+:func:`_power_steps`, which steps raw components by the three-term recurrence
+p**(k+1) = 2*p0*p**k - cns(p)*p**(k-1) where p's two roots lie apart, and by
+``_hamilton`` elsewhere.  :func:`_powers` builds one value per term from it,
+optionally times a scalar weight; the catalog's trig rows step two cores and
+build one value per term from both.  Every other recursion goes through
 :func:`_stepper`: the varying factors of :func:`stepped`, the geometric
 recursion of ``ztransform.convolve`` and the window of the last M terms of a
 ``recurrence.LinearRecurrence`` solution.
@@ -62,29 +64,27 @@ def stepped(first: Biquaternion, factor: Callable[[int], Biquaternion]):
 _ROOTS_APART = 1 / 8
 
 
-def _powers(p: Biquaternion, weight: Callable[[int], int] | None = None):
-    """Term function n -> p**n (times a scalar weight(n)), one value built per term.
+def _power_steps(p: Biquaternion, rho: float) -> Callable[[int], tuple[complex, complex, complex, complex]]:
+    """Components n -> (w, x, y, z) of p**n, each checked finite: the one power core.
 
-    Every biquaternion satisfies p**2 = 2*p0*p - cns(p), so where p's roots
-    lam+- = p0 +- I*vec_abs(p) lie apart (2*|vec_abs(p)| >= rho/8, with
-    rho = root_magnitudes(p)[0] > 0), each component steps as
-    c_(k+1) = 2*p0*c_k - cns(p)*c_(k-1): 8 complex products, against 16 for
-    a Hamilton product.  p**1, and every power of a zero ratio, a complex
-    scalar or a nilpotent or near-defective vector part, step from ``ONE``'s
-    components by ``algebra._hamilton``, bit-identical to
-    ``stepped(ONE, lambda _: p)``.  Each step is checked finite; a non-finite
-    three-term step is redone as the product from p**k, which raises only
-    where it leaves double range too, so an overflow raises the product's
-    ValueError at the product's index, and so does a weight past double range.
-    (index, p**k, p**(k-1)) is one snapshot.
+    ``rho`` is root_magnitudes(p)[0], which callers that also need p's radius
+    take once.  Every biquaternion satisfies p**2 = 2*p0*p - cns(p), so where
+    p's roots lam+- = p0 +- I*vec_abs(p) lie apart (2*|vec_abs(p)| >= rho/8,
+    rho > 0), each component steps as c_(k+1) = 2*p0*c_k - cns(p)*c_(k-1):
+    8 complex products, against 16 for a Hamilton product.  p**1, and every
+    power of a zero ratio, a complex scalar or a nilpotent or near-defective
+    vector part, step from ``ONE``'s components by ``algebra._hamilton``,
+    bit-identical to ``stepped(ONE, lambda _: p)``.  A non-finite three-term
+    step is redone as the product from p**k, which raises only where it leaves
+    double range too, so an overflow raises the product's ValueError at the
+    product's index.  (index, p**k, p**(k-1)) is one snapshot.
     """
     pw, px, py, pz = p.w, p.x, p.y, p.z
-    rho = root_magnitudes(p)[0]
     apart = rho > 0.0 and 2.0 * abs(p.vec_abs()) >= rho * _ROOTS_APART
     a, b = 2.0 * pw, p.complex_norm_sq()
     last = (inf, None, None)  # any n < inf: the first call starts
 
-    def term(n: int) -> Biquaternion:
+    def components(n: int) -> tuple[complex, complex, complex, complex]:
         nonlocal last
         k, now, before = last
         if n < k:
@@ -103,15 +103,34 @@ def _powers(p: Biquaternion, weight: Callable[[int], int] | None = None):
                 _result(*nxt)  # raises the constructor's ValueError
             k, now, before = k + 1, nxt, now
         last = (k, now, before)
-        if weight is None:
-            return _built(*now)  # checked at their step
+        return now
+
+    return components
+
+
+def _values(steps: Callable[[int], tuple], weight: Callable[[int], int] | None = None):
+    """Term function n -> the value of the components steps(n) (times a scalar
+    weight(n)), one value built per term; a weight past double range raises the
+    constructor's ValueError."""
+    if weight is None:
+        return lambda n: _built(*steps(n))  # checked at their step
+
+    def term(n: int) -> Biquaternion:
+        w, x, y, z = steps(n)
         c = weight(n)
         try:
-            return _result(now[0] * c, now[1] * c, now[2] * c, now[3] * c)
+            return _result(w * c, x * c, y * c, z * c)
         except OverflowError:  # the int weight is past double range
             raise ValueError(f"non-finite biquaternion component: the weight at index {n}") from None
 
     return term
+
+
+def _powers(p: Biquaternion, weight: Callable[[int], int] | None = None):
+    """Term function n -> p**n (times a scalar weight(n)), one value built per
+    term: the power core :func:`_power_steps` and its :func:`_values`.  The
+    catalog's trig rows step two cores and build one value from both."""
+    return _values(_power_steps(p, root_magnitudes(p)[0]), weight)
 
 
 class Sequence:
