@@ -31,8 +31,9 @@ exp(+-I*q)**n over raw components (``sequences._power_steps``: the three-term
 recurrence p**(k+1) = 2*p0*p**k - cns(p)*p**(k-1) where the ratio's roots lie
 apart, one product elsewhere), q**n / n! by one product over values
 (``sequences.stepped``).  A trig term steps both powers raw and is built once
-from their joined components.  Each ratio's root magnitudes are taken once,
-for its radius and for the core's guard.
+from their joined components, each halved before the join, so a term that
+fits in a double is finite even where the two powers' sum is not.  Each
+ratio's root magnitudes are taken once, for its radius and for the core's guard.
 
 Convergence radii are exact, computed once per entry by one rule: the larger
 root magnitude of the ratio, from its scalar roots q0 +- sqrt(q0**2 - cns)
@@ -49,20 +50,32 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field, replace
-from typing import Callable
+from typing import Callable, NamedTuple
 
-from .algebra import ONE, Biquaternion, _built, _refuse_inside, _result, as_biquaternion, exp, root_magnitudes
+from .algebra import ONE, Biquaternion, _refuse_inside, _result, as_biquaternion, exp, root_magnitudes
 from .parsing import parse
 from .sequences import Sequence, _power_steps, _values, stepped
 
 
-@dataclass(frozen=True, eq=False)
 class CatalogEntry:
-    name: str
-    params: dict
-    sequence: Sequence
-    _eval_fn: Callable[[Biquaternion], Biquaternion] = field(repr=False)  # of y = x**-1
+    """A named sequence, the closed form of its transform and the parameters it
+    was built from; immutable, equal only to itself."""
+
+    __slots__ = ("name", "params", "sequence", "_eval_fn")
+
+    def __init__(self, name: str, params: dict, sequence: Sequence,
+                 _eval_fn: Callable[[Biquaternion], Biquaternion]):  # of y = x**-1
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "params", params)
+        object.__setattr__(self, "sequence", sequence)
+        object.__setattr__(self, "_eval_fn", _eval_fn)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("CatalogEntry values are immutable")
+
+    def __reduce__(self):
+        # copy rebuilds through the constructor, since __setattr__ refuses
+        return type(self), (self.name, self.params, self.sequence, self._eval_fn)
 
     @property
     def roc_radius(self) -> float:
@@ -119,36 +132,35 @@ def pow_p(p) -> CatalogEntry:
 def n_pow_p(p, as_printed: bool = False) -> CatalogEntry:
     p = as_biquaternion(p)
     entry = _family("n_pow_p", {"p": p, "as_printed": as_printed}, p, 1, 1)
-    return replace(entry, _eval_fn=lambda y: p * _closed(p, y)) if as_printed else entry
+    if as_printed:
+        return CatalogEntry(entry.name, entry.params, entry.sequence, lambda y: p * _closed(p, y))
+    return entry
 
 
 def _trig_entry(name: str, q, combine, raw) -> CatalogEntry:
-    # combine(a, b) joins the parts with ratios exp(+-I*q): their geometric
-    # sums for the closed form; raw joins the components of their n-th powers
-    # in combine's operand order, one value built per term
+    # combine(a, b) joins the geometric sums with ratios exp(+-I*q) for the
+    # closed form; raw joins the components of their n-th powers, one value
+    # built per term, halving each part first so that a finite term stays finite
     q = as_biquaternion(q)
     e, f = exp(q * 1j), exp(q * -1j)
     rho_e, rho_f = root_magnitudes(e)[0], root_magnitudes(f)[0]
     e_pow, f_pow = _power_steps(e, rho_e), _power_steps(f, rho_f)
 
     def term(n: int) -> Biquaternion:
-        a, b = e_pow(n), f_pow(n)  # e first: where both powers overflow, e's error is raised
-        try:
-            return raw(a, b)
-        except ValueError:  # the joined components left double range: raise as the values do
-            return combine(_built(*a), _built(*b))
+        return raw(e_pow(n), f_pow(n))  # e first: where both powers overflow, e's error is raised
 
     return _entry(name, {"q": q}, max(rho_e, rho_f), term, lambda y: combine(_closed(e, y), _closed(f, y)))
 
 
 def _half_sum(a, b) -> Biquaternion:
     (aw, ax, ay, az), (bw, bx, by, bz) = a, b
-    return _result((aw + bw) * 0.5, (ax + bx) * 0.5, (ay + by) * 0.5, (az + bz) * 0.5)
+    return _result(aw * 0.5 + bw * 0.5, ax * 0.5 + bx * 0.5, ay * 0.5 + by * 0.5, az * 0.5 + bz * 0.5)
 
 
 def _half_i_difference(a, b) -> Biquaternion:
     (aw, ax, ay, az), (bw, bx, by, bz) = a, b
-    return _result((bw - aw) * 0.5j, (bx - ax) * 0.5j, (by - ay) * 0.5j, (bz - az) * 0.5j)
+    return _result((bw * 0.5 - aw * 0.5) * 1j, (bx * 0.5 - ax * 0.5) * 1j,
+                   (by * 0.5 - ay * 0.5) * 1j, (bz * 0.5 - az * 0.5) * 1j)
 
 
 def cos_qn(q) -> CatalogEntry:
@@ -234,8 +246,7 @@ def _sample_binom(rng: random.Random) -> list[dict]:
     return [{"m": m, "q": draw_conditioned(rng)}]
 
 
-@dataclass(frozen=True)
-class Row:
+class Row(NamedTuple):
     """Builder, parameter names in argument order, verify-catalog draws (a dict per variant)."""
 
     builder: Callable[..., CatalogEntry]

@@ -277,7 +277,7 @@ def _run_recurrence_payload(payload: dict, n_terms: int, tol: float, eps: float 
     if "candidate" in payload:
         cand = _candidate_sequence(payload["candidate"], "candidate")
         rep = verify_closed_form(rec, cand, n_terms=n_terms, tol=tol)
-        results["verification"] = {**vars(rep), "pass": rep.passed}
+        results["verification"] = {**rep._asdict(), "pass": rep.passed}
         ok = ok and rep.passed
     samples = x_samples if x_samples is not None else _listed(payload, "x_samples", required=False)
     checks = []

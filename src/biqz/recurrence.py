@@ -17,7 +17,7 @@ the primitive behind every forward-stepped sequence that is not a power.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .algebra import ZERO, Biquaternion, _gap, _hamilton, _refuse_inside, _result, _sum_pieces, as_biquaternion
 from .catalog import CatalogEntry
@@ -26,7 +26,6 @@ from .sequences import Sequence, _stepper
 from .ztransform import DEFAULT_EPS, DEFAULT_MAX_TERMS, roc_estimate, transform
 
 
-@dataclass
 class ForcingTerm:
     """One inhomogeneous contribution sum_{k} g_{n+k} * q_k.
 
@@ -35,12 +34,10 @@ class ForcingTerm:
     truncated series evaluation.
     """
 
-    sequence: Sequence
-    coeffs: list[Biquaternion]
-    entry: CatalogEntry | None = None
-
-    def __post_init__(self):
-        self.coeffs = [as_biquaternion(c) for c in self.coeffs]
+    def __init__(self, sequence: Sequence, coeffs, entry: CatalogEntry | None = None):
+        self.sequence = sequence
+        self.coeffs: list[Biquaternion] = [as_biquaternion(c) for c in coeffs]
+        self.entry = entry
         if not self.coeffs:
             raise ValueError("forcing term needs at least one coefficient")
 
@@ -165,8 +162,7 @@ def _shift_boundary(values, coeffs, x: complex) -> Biquaternion:
                 for k, coeff in enumerate(coeffs) for t in range(k)], ZERO)
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     """Outcome of checking a candidate closed form against a recurrence."""
 
     max_abs_error: float

@@ -15,14 +15,14 @@ bound in the real gauge.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from cmath import isfinite
 from math import copysign, hypot, inf, isinf
+from typing import NamedTuple
 
 from .algebra import (ONE, Biquaternion, _hamilton, _refuse_inside, _result, as_biquaternion,
                       root_magnitudes, sum_products)
 from .errors import DivergentSeriesError, NoConvergenceError
-from .sequences import Sequence, _powers, _stepper, advance, delay
+from .sequences import Sequence, _power_steps, _stepper, _values, advance, delay
 
 # window length for the geometric-tail ratio test
 _RATIO_WINDOW = 8
@@ -33,8 +33,7 @@ DEFAULT_EPS = 1e-12
 DEFAULT_MAX_TERMS = 4096
 
 
-@dataclass(frozen=True)
-class TransformValue:
+class TransformValue(NamedTuple):
     """A truncated transform evaluation.
 
     ``tail_bound`` bounds the distance to the full series (componentwise, hence
@@ -241,10 +240,9 @@ def geometric_scale(f: Sequence, q) -> Sequence:
     """
     ratio = as_biquaternion(q)
     ratio.inverse()  # raises ZeroDivisorError up front
-    hint = None
-    if f.radius_hint is not None:
-        hint = f.radius_hint * root_magnitudes(ratio)[0]
-    powers = _powers(ratio)
+    rho = root_magnitudes(ratio)[0]
+    hint = None if f.radius_hint is None else f.radius_hint * rho
+    powers = _values(_power_steps(ratio, rho))
     return Sequence(lambda n: f.term(n) * powers(n), radius_hint=hint, name="geometric_scale")
 
 
