@@ -32,7 +32,8 @@ recurrence p**(k+1) = 2*p0*p**k - cns(p)*p**(k-1) where the ratio's roots lie
 apart, one product elsewhere), q**n / n! by one product over values
 (``sequences.stepped``).  A trig term steps both powers raw and is built once
 from their joined components, each halved before the join, so a term that
-fits in a double is finite even where the two powers' sum is not.  Each
+fits in a double is finite even where the two powers' sum is not; its closed
+form joins the components of G(e) and G(f) by the same function.  Each
 ratio's root magnitudes are taken once, for its radius and for the core's guard.
 
 Convergence radii are exact, computed once per entry by one rule: the larger
@@ -137,19 +138,22 @@ def n_pow_p(p, as_printed: bool = False) -> CatalogEntry:
     return entry
 
 
-def _trig_entry(name: str, q, combine, raw) -> CatalogEntry:
-    # combine(a, b) joins the geometric sums with ratios exp(+-I*q) for the
-    # closed form; raw joins the components of their n-th powers, one value
-    # built per term, halving each part first so that a finite term stays finite
+def _trig_entry(name: str, q, join) -> CatalogEntry:
+    # join builds one value from the components of e**n and f**n for a term, of
+    # G(e) and G(f) for the closed form, halving each part first: a finite join stays finite
     q = as_biquaternion(q)
     e, f = exp(q * 1j), exp(q * -1j)
     rho_e, rho_f = root_magnitudes(e)[0], root_magnitudes(f)[0]
     e_pow, f_pow = _power_steps(e, rho_e), _power_steps(f, rho_f)
 
     def term(n: int) -> Biquaternion:
-        return raw(e_pow(n), f_pow(n))  # e first: where both powers overflow, e's error is raised
+        return join(e_pow(n)[0], f_pow(n)[0])  # e first: where both powers overflow, e's error is raised
 
-    return _entry(name, {"q": q}, max(rho_e, rho_f), term, lambda y: combine(_closed(e, y), _closed(f, y)))
+    def closed(y: Biquaternion) -> Biquaternion:
+        a, b = _closed(e, y), _closed(f, y)
+        return join((a.w, a.x, a.y, a.z), (b.w, b.x, b.y, b.z))
+
+    return _entry(name, {"q": q}, max(rho_e, rho_f), term, closed)
 
 
 def _half_sum(a, b) -> Biquaternion:
@@ -164,11 +168,11 @@ def _half_i_difference(a, b) -> Biquaternion:
 
 
 def cos_qn(q) -> CatalogEntry:
-    return _trig_entry("cos_qn", q, lambda a, b: (a + b) * 0.5, _half_sum)
+    return _trig_entry("cos_qn", q, _half_sum)
 
 
 def sin_qn(q) -> CatalogEntry:
-    return _trig_entry("sin_qn", q, lambda a, b: (b - a) * 0.5j, _half_i_difference)
+    return _trig_entry("sin_qn", q, _half_i_difference)
 
 
 def nonnegative_int(key: str, raw) -> int:

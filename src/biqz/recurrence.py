@@ -12,7 +12,7 @@ X[f_{.+m}](x) = X[f](x)*x**m - sum_{t<m} f_t * x**(m-t).
 The iteration and the relation check step raw complex components by
 ``_hamilton`` and ``_sum_pieces``, building at most one value per term; the
 iteration steps its window of the last M terms through ``sequences._stepper``,
-the primitive behind every forward-stepped sequence that is not a power.
+the primitive behind every forward-stepped sequence.
 """
 from __future__ import annotations
 

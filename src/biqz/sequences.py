@@ -1,14 +1,14 @@
 """Lazily evaluated biquaternion sequences f_0, f_1, f_2, ...
 
-Forward-stepped terms, each reached from the one before, go through one of
-two primitives.  Constant-ratio powers p**n go through one power core,
-:func:`_power_steps`, which steps raw components by the three-term recurrence
-p**(k+1) = 2*p0*p**k - cns(p)*p**(k-1) where p's two roots lie apart, and by
-``_hamilton`` elsewhere.  :func:`_powers` builds one value per term from it,
-optionally times a scalar weight; the catalog's trig rows step two cores and
-build one value per term from both.  Every other recursion goes through
-:func:`_stepper`: the varying factors of :func:`stepped`, the geometric
-recursion of ``ztransform.convolve`` and the window of the last M terms of a
+Every forward-stepped term, reached from the one before, goes through
+:func:`_stepper`, which keeps the last index and its state and restarts for an
+earlier one.  Its step rules are the power core :func:`_power_steps` (the raw
+components of p**n, by the three-term recurrence
+p**(k+1) = 2*p0*p**k - cns(p)*p**(k-1) where p's two roots lie apart and by
+``_hamilton`` elsewhere; :func:`_powers` builds one value per term from it,
+optionally times a scalar weight, and the catalog's trig rows one from two
+cores), the varying factors of :func:`stepped`, the geometric recursion of
+``ztransform.convolve`` and the window of the last M terms of a
 ``recurrence.LinearRecurrence`` solution.
 """
 from __future__ import annotations
@@ -19,7 +19,7 @@ from typing import Callable, TypeVar
 
 from .algebra import ONE, ZERO, Biquaternion, _built, _hamilton, _result, as_biquaternion, root_magnitudes
 
-V = TypeVar("V")  # a stepped value: a Biquaternion, or a recurrence's window of them
+V = TypeVar("V")  # a stepped value: a Biquaternion, a power's components or a recurrence's window
 
 
 def _stepper(start: Callable[[], V], step: Callable[[int, V], V]) -> Callable[[int], V]:
@@ -64,8 +64,9 @@ def stepped(first: Biquaternion, factor: Callable[[int], Biquaternion]):
 _ROOTS_APART = 1 / 8
 
 
-def _power_steps(p: Biquaternion, rho: float) -> Callable[[int], tuple[complex, complex, complex, complex]]:
-    """Components n -> (w, x, y, z) of p**n, each checked finite: the one power core.
+def _power_steps(p: Biquaternion, rho: float) -> Callable[[int], tuple[tuple, tuple | None]]:
+    """n -> (p**n, p**(n-1)) as component tuples (w, x, y, z), each checked
+    finite: the one power core, a step rule that :func:`_stepper` runs.
 
     ``rho`` is root_magnitudes(p)[0], which callers that also need p's radius
     take once.  Every biquaternion satisfies p**2 = 2*p0*p - cns(p), so where
@@ -75,48 +76,40 @@ def _power_steps(p: Biquaternion, rho: float) -> Callable[[int], tuple[complex, 
     power of a zero ratio, a complex scalar or a nilpotent or near-defective
     vector part, step from ``ONE``'s components by ``algebra._hamilton``,
     bit-identical to ``stepped(ONE, lambda _: p)``.  A non-finite three-term
-    step is redone as the product from p**k, which raises only where it leaves
-    double range too, so an overflow raises the product's ValueError at the
-    product's index.  (index, p**k, p**(k-1)) is one snapshot.
+    step is redone as the product p**(n-1)*p, which raises only where it
+    leaves double range too, so an overflow raises the product's ValueError at
+    the product's index.
     """
     pw, px, py, pz = p.w, p.x, p.y, p.z
     apart = rho > 0.0 and 2.0 * abs(p.vec_abs()) >= rho * _ROOTS_APART
     a, b = 2.0 * pw, p.complex_norm_sq()
-    last = (inf, None, None)  # any n < inf: the first call starts
 
-    def components(n: int) -> tuple[complex, complex, complex, complex]:
-        nonlocal last
-        k, now, before = last
-        if n < k:
-            k, now, before = 0, (ONE.w, ONE.x, ONE.y, ONE.z), None
-        while k < n:
-            w, x, y, z = now
-            if apart and k:
-                vw, vx, vy, vz = before
-                nw, nx, ny, nz = a * w - b * vw, a * x - b * vx, a * y - b * vy, a * z - b * vz
-                if isfinite(nw) and isfinite(nx) and isfinite(ny) and isfinite(nz):
-                    k, now, before = k + 1, (nw, nx, ny, nz), now
-                    continue
-                # a*c_k can overflow a step before p**(k+1) does: redo it as the product
-            nxt = _hamilton(w, x, y, z, pw, px, py, pz)
-            if not (isfinite(nxt[0]) and isfinite(nxt[1]) and isfinite(nxt[2]) and isfinite(nxt[3])):
-                _result(*nxt)  # raises the constructor's ValueError
-            k, now, before = k + 1, nxt, now
-        last = (k, now, before)
-        return now
+    def step(k: int, state: tuple) -> tuple:
+        now, before = state
+        w, x, y, z = now
+        if apart and k > 1:
+            vw, vx, vy, vz = before
+            nw, nx, ny, nz = a * w - b * vw, a * x - b * vx, a * y - b * vy, a * z - b * vz
+            if isfinite(nw) and isfinite(nx) and isfinite(ny) and isfinite(nz):
+                return (nw, nx, ny, nz), now
+            # a*c_(k-1) can overflow a step before p**k does: redo it as the product
+        nxt = _hamilton(w, x, y, z, pw, px, py, pz)
+        if not (isfinite(nxt[0]) and isfinite(nxt[1]) and isfinite(nxt[2]) and isfinite(nxt[3])):
+            _result(*nxt)  # raises the constructor's ValueError
+        return nxt, now
 
-    return components
+    return _stepper(lambda: ((ONE.w, ONE.x, ONE.y, ONE.z), None), step)
 
 
 def _values(steps: Callable[[int], tuple], weight: Callable[[int], int] | None = None):
-    """Term function n -> the value of the components steps(n) (times a scalar
-    weight(n)), one value built per term; a weight past double range raises the
-    constructor's ValueError."""
+    """Term function n -> the value of the power core's components steps(n)[0]
+    (times a scalar weight(n)), one value built per term; a weight past double
+    range raises the constructor's ValueError."""
     if weight is None:
-        return lambda n: _built(*steps(n))  # checked at their step
+        return lambda n: _built(*steps(n)[0])  # checked at their step
 
     def term(n: int) -> Biquaternion:
-        w, x, y, z = steps(n)
+        w, x, y, z = steps(n)[0]
         c = weight(n)
         try:
             return _result(w * c, x * c, y * c, z * c)
@@ -137,9 +130,9 @@ class Sequence:
     """A deterministic map from index n >= 0 to a biquaternion.
 
     Terms are memoized, so repeated evaluation at the same index returns the
-    identical value.  Term functions may hold stepping state (:func:`_powers`,
-    and :func:`_stepper` for :func:`stepped` and recurrence solutions) yet give
-    each index the same value in any order; nothing is locked, so threads
+    identical value.  Term functions may hold stepping state (a
+    :func:`_stepper` for powers, :func:`stepped` and recurrence solutions) yet
+    give each index the same value in any order; nothing is locked, so threads
     sharing a sequence may compute a term twice (equal, not identical).
     ``radius_hint`` optionally records an analytically known convergence
     radius for the sequence's Z transform.  ``ratio`` is the p of a sequence

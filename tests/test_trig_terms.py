@@ -4,6 +4,8 @@ access order, with the same error at the same index where a power leaves
 double range; halving each part before the join keeps a finite term finite."""
 import math
 import random
+import sys
+import threading
 
 import pytest
 
@@ -107,3 +109,34 @@ class TestOverflow:
         assert math.isclose(part.real, exact, rel_tol=1e-12) and part.imag == 0.0
         assert rest == (0, 0, 0)
         assert _reprs(term(1)) == _reprs(want(1))
+
+
+@pytest.mark.parametrize("name", sorted(COMBINE))
+def test_threads_sharing_a_trig_term_function_get_the_in_order_values(name):
+    # a trig term reads two power cores, so a thread switch between them must
+    # not pair e**n with another index's f**n
+    q = QS[0]
+    ordered = cat.build(name, {"q": q}).sequence._fn
+    want = [_reprs(ordered(n)) for n in range(200)]
+    term = cat.build(name, {"q": q}).sequence._fn
+    wrong = []
+
+    def worker(seed):
+        rng = random.Random(seed)
+        for _ in range(400):
+            n = rng.randrange(200)
+            if _reprs(term(n)) != want[n]:
+                wrong.append(n)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(s,)) for s in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == []
