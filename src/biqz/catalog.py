@@ -26,10 +26,10 @@ f = exp(-I*q); Euler's formula holds for every q, nilpotent vector parts
 included, because the complex unit I commutes with every biquaternion.
 
 Terms built from powers are stepped from the previous indices, so summing a
-series costs O(1) operations per term: p**n, its weighted rows and
-exp(+-I*q)**n over raw components (``sequences._power_steps``: the three-term
-recurrence p**(k+1) = 2*p0*p**k - cns(p)*p**(k-1) where the ratio's roots lie
-apart, one product elsewhere), q**n / n! by one product over values
+series costs O(1) operations per term: p**n (``Sequence.geometric``), its
+weighted rows and exp(+-I*q)**n over raw components (``_power_steps``: the
+three-term recurrence p**(k+1) = 2*p0*p**k - cns(p)*p**(k-1) where the ratio's
+roots lie apart, one product elsewhere), q**n / n! by one product over values
 (``sequences.stepped``).  A trig term steps both powers raw and is built once
 from their joined components, each halved before the join, so a term that
 fits in a double is finite even where the two powers' sum is not; its closed
@@ -106,11 +106,14 @@ def _closed(q: Biquaternion, y: Biquaternion, m: int = 0, s: int = 0) -> Biquate
 
 
 def _family(name: str, params: dict, q: Biquaternion, m: int, s: int) -> CatalogEntry:
-    """Entry for sum C(n+m-s, m) * q**n * x**-n, terms stepped; radius the larger root of q."""
-    rho = root_magnitudes(q)[0]
-    # m = 0 weighs each term by 1, which could flip the sign of zero components: unweighted
-    terms = _values(_power_steps(q, rho), (lambda n: math.comb(n + m - s, m)) if m else None)
-    return _entry(name, params, rho, terms, lambda y: _closed(q, y, m, s))
+    """Entry for sum C(n+m-s, m) * q**n * x**-n, radius the larger root of q: Sequence.geometric(q) at m = 0."""
+    if m:
+        rho = root_magnitudes(q)[0]
+        terms = _values(_power_steps(q, rho), lambda n: math.comb(n + m - s, m))
+        return _entry(name, params, rho, terms, lambda y: _closed(q, y, m, s))
+    seq = Sequence.geometric(q)  # unweighted, carrying its ratio: a weight of 1 could flip a zero's sign
+    seq.name = name
+    return CatalogEntry(name, params, seq, lambda y: _closed(q, y, m, s))
 
 
 def const_one() -> CatalogEntry:

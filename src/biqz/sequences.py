@@ -5,10 +5,10 @@ Every forward-stepped term, reached from the one before, goes through
 earlier one.  Its step rules are the power core :func:`_power_steps` (the raw
 components of p**n, by the three-term recurrence
 p**(k+1) = 2*p0*p**k - cns(p)*p**(k-1) where p's two roots lie apart and by
-``_hamilton`` elsewhere; :func:`_powers` builds one value per term from it,
-optionally times a scalar weight, and the catalog's trig rows one from two
-cores), the varying factors of :func:`stepped`, the geometric recursion of
-``ztransform.convolve`` and the window of the last M terms of a
+``_hamilton`` elsewhere; :meth:`Sequence.geometric` builds one value per term
+from it, the catalog's weighted rows one times a scalar weight, its trig rows
+one from two cores), the varying factors of :func:`stepped`, the geometric
+recursion of ``ztransform.convolve`` and the window of the last M terms of a
 ``recurrence.LinearRecurrence`` solution.
 """
 from __future__ import annotations
@@ -119,25 +119,18 @@ def _values(steps: Callable[[int], tuple], weight: Callable[[int], int] | None =
     return term
 
 
-def _powers(p: Biquaternion, weight: Callable[[int], int] | None = None):
-    """Term function n -> p**n (times a scalar weight(n)), one value built per
-    term: the power core :func:`_power_steps` and its :func:`_values`.  The
-    catalog's trig rows step two cores and build one value from both."""
-    return _values(_power_steps(p, root_magnitudes(p)[0]), weight)
-
-
 class Sequence:
     """A deterministic map from index n >= 0 to a biquaternion.
 
-    Terms are memoized, so repeated evaluation at the same index returns the
-    identical value.  Term functions may hold stepping state (a
-    :func:`_stepper` for powers, :func:`stepped` and recurrence solutions) yet
-    give each index the same value in any order; nothing is locked, so threads
-    sharing a sequence may compute a term twice (equal, not identical).
-    ``radius_hint`` optionally records an analytically known convergence
-    radius for the sequence's Z transform.  ``ratio`` is the p of a sequence
-    built by :meth:`geometric`, whose terms are p**n, and ``None`` on every
-    other sequence; :func:`~biqz.ztransform.convolve` reads it to step a
+    Terms are memoized, so repeated evaluation at the same index returns the identical value.
+    Term functions may hold stepping state (a :func:`_stepper` for powers, :func:`stepped` and
+    recurrence solutions) yet give each index the same value in any order; nothing is locked, so
+    threads sharing a sequence may compute a term twice (equal, not identical).  ``radius_hint``
+    optionally records a sufficient convergence radius for the sequence's Z transform, not an
+    exact one: ``transform`` refuses every x whose smaller root magnitude is at or below it,
+    some convergent ones too (x = 2*p for p**n, p's roots over a factor 2 apart).  ``ratio`` is
+    the p of a sequence built by :meth:`geometric`, whose terms are p**n, catalog power rows
+    included, and ``None`` elsewhere; :func:`~biqz.ztransform.convolve` reads it to step a
     geometric left factor instead of summing products.
     """
 
@@ -173,16 +166,21 @@ class Sequence:
 
     @classmethod
     def geometric(cls, ratio) -> "Sequence":
+        """n -> ratio**n, the one unweighted power sequence: it keeps ``ratio``, and its larger
+        root magnitude, taken once, guards the power core and is the (sufficient) radius hint."""
         p = as_biquaternion(ratio)
-        seq = cls(_powers(p), name="geometric")
+        rho = root_magnitudes(p)[0]
+        seq = cls(_values(_power_steps(p, rho)), radius_hint=rho, name="geometric")
         seq.ratio = p
         return seq
 
     @classmethod
     def from_terms(cls, values, tail=ZERO) -> "Sequence":
+        """The listed terms, then ``tail``; radius hint 1.0, or 0.0 for a zero tail, as for a constant."""
         head = [as_biquaternion(v) for v in values]
         rest = as_biquaternion(tail)
-        return cls(lambda n: head[n] if n < len(head) else rest, name="from_terms")
+        return cls(lambda n: head[n] if n < len(head) else rest,
+                   radius_hint=1.0 if rest != ZERO else 0.0, name="from_terms")
 
     @classmethod
     def delta(cls) -> "Sequence":

@@ -19,10 +19,9 @@ from cmath import isfinite
 from math import copysign, hypot, inf, isinf
 from typing import NamedTuple
 
-from .algebra import (ONE, Biquaternion, _hamilton, _refuse_inside, _result, as_biquaternion,
-                      root_magnitudes, sum_products)
+from .algebra import ONE, Biquaternion, _hamilton, _refuse_inside, _result, as_biquaternion, sum_products
 from .errors import DivergentSeriesError, NoConvergenceError
-from .sequences import Sequence, _power_steps, _stepper, _values, advance, delay
+from .sequences import Sequence, _stepper, advance, delay
 
 # window length for the geometric-tail ratio test
 _RATIO_WINDOW = 8
@@ -233,17 +232,16 @@ def _combined(term, f: Sequence, g: Sequence, name: str) -> Sequence:
 
 
 def geometric_scale(f: Sequence, q) -> Sequence:
-    """n -> f_n * q**n for invertible q.
+    """n -> f_n * q**n for invertible q, with q**n and q's radius from ``Sequence.geometric(q)``.
 
     At points x commuting with q, X of the result equals X[f](q**-1 * x);
     that identity is meaningless at non-commuting points.
     """
     ratio = as_biquaternion(q)
     ratio.inverse()  # raises ZeroDivisorError up front
-    rho = root_magnitudes(ratio)[0]
-    hint = None if f.radius_hint is None else f.radius_hint * rho
-    powers = _values(_power_steps(ratio, rho))
-    return Sequence(lambda n: f.term(n) * powers(n), radius_hint=hint, name="geometric_scale")
+    powers = Sequence.geometric(ratio)  # read through _fn, uncached: the result memoizes each product
+    hint = None if f.radius_hint is None else f.radius_hint * powers.radius_hint
+    return Sequence(lambda n: f.term(n) * powers._fn(n), radius_hint=hint, name="geometric_scale")
 
 
 def advance_transform(
@@ -298,8 +296,8 @@ def convolve(f: Sequence, g: Sequence) -> Sequence:
     For any ``f`` the sum is formed directly, n + 1 products for term n, and
     each term is bit-identical to ``total = f_n*g_0; total = total + f_{n-m}*g_m``.
     The terms f_0..f_n are read in ascending order first, so a stepped ``f``
-    is not restarted for each lower index.  When ``f`` is
-    ``Sequence.geometric(K)`` (its ``ratio`` is K), splitting off the m = n
+    is not restarted for each lower index.  When ``f`` is ``Sequence.geometric(K)``
+    (its ``ratio`` is K; catalog power rows too), splitting off the m = n
     term leaves K times the sum for n - 1, K on the left as in the direct sum:
 
         w_n = sum_{m<=n} K**(n-m) * g_m = K * sum_{m<=n-1} K**(n-1-m) * g_m + g_n

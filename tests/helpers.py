@@ -11,6 +11,8 @@ import math
 import random
 
 from biqz import Biquaternion, Sequence, as_biquaternion
+from biqz.algebra import root_magnitudes as library_root_magnitudes
+from biqz.sequences import _power_steps, _values
 
 # basis multiplication table: (a, b) -> (result_axis, sign), axes 0=1,1=i,2=j,3=k
 _BASIS = {
@@ -77,6 +79,11 @@ def literal_three_term_powers(p: Biquaternion):
         return values[n]
 
     return term
+
+
+def _powers(p: Biquaternion, weight=None):
+    """The library's power core read as values, n -> p**n (times weight(n))."""
+    return _values(_power_steps(p, library_root_magnitudes(p)[0]), weight)
 
 
 def series_exp(q, terms: int = 40) -> Biquaternion:

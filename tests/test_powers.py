@@ -12,9 +12,9 @@ import pytest
 
 import biqz.catalog as cat
 from biqz import ONE, Biquaternion, Sequence, exp, geometric_scale, transform
-from biqz.sequences import _powers, stepped
+from biqz.sequences import stepped
 
-from helpers import comp_dist, literal_mul, literal_three_term_powers, rand_biquat, roots_apart
+from helpers import _powers, comp_dist, literal_mul, literal_three_term_powers, rand_biquat, roots_apart
 
 ZERO_PARTS = (0.0, -0.0)
 

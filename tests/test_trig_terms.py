@@ -11,7 +11,8 @@ import pytest
 
 import biqz.catalog as cat
 from biqz import Biquaternion, exp
-from biqz.sequences import _powers
+
+from helpers import _powers
 
 COMBINE = {
     "cos_qn": lambda a, b: (a + b) * 0.5,

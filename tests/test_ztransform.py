@@ -136,7 +136,7 @@ class TestTransform:
 
     def test_no_convergence(self):
         with pytest.raises(NoConvergenceError):
-            transform(Sequence.geometric(i + j), 1)
+            transform(Sequence(Sequence.geometric(i + j).term), 1)  # no radius hint: the series loop raises
 
     def test_zero_divisor_point_rejected(self):
         with pytest.raises(ZeroDivisorError):
