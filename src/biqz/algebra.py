@@ -351,8 +351,12 @@ k = Biquaternion(0.0, 0.0, 0.0, 1.0)
 def _embed(value):
     if isinstance(value, Biquaternion):
         return value
+    if type(value) in _SCALARS:  # exact types; bool and subclasses take the constructor
+        c = complex(value)  # the constructor's coercion, with its OverflowError
+        if _isfinite(c):
+            return _built(c, 0j, 0j, 0j)
     if isinstance(value, _SCALARS):
-        return Biquaternion(value)
+        return Biquaternion(value)  # bool, a subclass, or a non-finite value, which raises
     return None
 
 

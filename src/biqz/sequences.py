@@ -138,7 +138,7 @@ class Sequence:
 
     def __init__(self, fn, radius_hint: float | None = None, name: str | None = None):
         self._fn = fn
-        self._cache: dict[int, Biquaternion] = {}
+        self._cache: dict[int, Biquaternion] = {}  # n -> term(n); transform reads it directly
         self.radius_hint = radius_hint
         self.name = name
         self.ratio: Biquaternion | None = None

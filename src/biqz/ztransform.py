@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from collections import deque
 from cmath import isfinite
+from itertools import filterfalse, repeat
 from math import copysign, hypot, inf, isinf
 from typing import NamedTuple
 
@@ -88,30 +89,41 @@ def transform(
     NoConvergenceError when terms keep growing, and OutsideROCError when a
     radius hint on ``f`` already rules the point out: the smaller root
     magnitude of x, which sets how slowly x**-n decays, is not above it.
+    That refusal comes before the ValueError of an x**-1 past double range,
+    and after the ZeroDivisorError of a non-invertible x.
 
     Each step fuses the product f_n * x**-n, the running sum and the next
     power x**-(n+1) over raw complex components, by ``_hamilton`` and
     ``__add__``'s expressions in their order, and one Biquaternion is built
     per result; values, term counts and tail bounds are bit-identical to the
-    loop of Biquaternion operations.  As in that loop, a term f_n, a product
-    or a power x**-n that leaves double range ends the series, and a finite
-    product whose size overflows raises NoConvergenceError.  The power is
-    stepped unchecked: past double range it makes the next product inf or
-    NaN, which ends the series where an overflowing product does.
+    loop of Biquaternion operations.  A term already in ``f``'s memo is read
+    from it directly, and ``f.term`` is called only for the others.  As in
+    that loop, a term f_n, a product or a power x**-n that leaves double
+    range ends the series, and a finite product whose size overflows raises
+    NoConvergenceError.  The power is stepped unchecked: past double range
+    it makes the next product inf or NaN, which ends the series where an
+    overflowing product does.
 
     At a complex point (x**-1 has a zero vector part) x**-n stays a complex
     number: each term is f_n scaled by it, and each power step is one
-    complex product.  The full products differ from these only in the sign
-    of parts that are exactly zero, which the sizes ignore and a running sum
-    free of -0.0 parts never shows (+0 + -0 == +0); so an f_0 with a -0.0
-    part takes the full products.
+    complex product.  Elsewhere a scalar term (f_n has a zero vector part)
+    scales x**-n, 4 complex products where the Hamilton product takes 16.
+    The full products differ from these only in the sign of parts that are
+    exactly zero, which the sizes ignore and a running sum free of -0.0
+    parts never shows (+0 + -0 == +0); so an f_0 with a -0.0 part takes the
+    full products on both paths.
     """
     if not eps > 0:  # a NaN eps would certify any tail
         raise ValueError("eps must be positive")
     if max_terms <= 0:
         raise ValueError("max_terms must be positive")
     x = as_biquaternion(x)
-    x_inv = x.inverse()  # ZeroDivisorError for non-invertible points
+    try:
+        x_inv = x.inverse()  # ZeroDivisorError for non-invertible points
+    except ValueError:  # x**-1 left double range; a point the hint rules out is refused first
+        if f.radius_hint is not None:
+            _refuse_inside(x, f.radius_hint, "radius hint")
+        raise
     if f.radius_hint is not None:
         _refuse_inside(x, f.radius_hint, "radius hint")
 
@@ -122,25 +134,29 @@ def transform(
     ratios: deque[float] = deque(maxlen=_RATIO_WINDOW)
     iw, ix, iy, iz = x_inv.w, x_inv.x, x_inv.y, x_inv.z
     qw, qx, qy, qz = iw, ix, iy, iz  # x**-n
+    # both fast paths below need an f_0 free of -0.0 parts: copysign reads each zero part's sign
+    clean = -1.0 not in map(copysign, repeat(1.0), filterfalse(None, first.components()))
     # at a complex point only qw is stepped; qx, qy and qz stay unread
-    scaled = ix == iy == iz == 0 and not any(
-        c == 0.0 and copysign(1.0, c) < 0.0 for c in first.components()
-    )
-    term = f.term
+    scaled = clean and ix == iy == iz == 0
+    memo, term = f._cache.get, f.term
     used = 1
 
     for n in range(1, max_terms):
-        try:
-            p = term(n)
-        except (OverflowError, ValueError, NoConvergenceError):
-            # f_n itself left double range even though f_n * x**-n may not
-            # (a recurrence solution reports that as NoConvergenceError);
-            # settle for whatever certification the window supports
-            break
+        p = memo(n)
+        if p is None:
+            try:
+                p = term(n)
+            except (OverflowError, ValueError, NoConvergenceError):
+                # f_n itself left double range even though f_n * x**-n may not
+                # (a recurrence solution reports that as NoConvergenceError);
+                # settle for whatever certification the window supports
+                break
         pw, px, py, pz = p.w, p.x, p.y, p.z
         # the term f_n * x**-n
         if scaled:
             aw, ax, ay, az = pw * qw, px * qw, py * qw, pz * qw
+        elif clean and px == py == pz == 0:
+            aw, ax, ay, az = pw * qw, pw * qx, pw * qy, pw * qz
         else:
             aw, ax, ay, az = _hamilton(pw, px, py, pz, qw, qx, qy, qz)
         size = hypot(aw.real, aw.imag, ax.real, ax.imag, ay.real, ay.imag, az.real, az.imag)
