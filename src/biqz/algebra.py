@@ -418,12 +418,22 @@ def _roots(q: Biquaternion) -> tuple[float, float, bool]:
     return a, b, math.isfinite(a) and math.isfinite(b) and (abs(w2) >= _NORMAL_MIN or abs(cns) >= _NORMAL_MIN)
 
 
-def _refuse_inside(x, radius: float, label: str) -> None:
-    """Raise OutsideROCError unless the smaller root magnitude of x, which sets
-    how slowly x**-n decays, is above ``radius``; ``label`` names the radius."""
-    smaller = root_magnitudes(x)[1]
-    if smaller <= radius:
+def _admit(x, radius: float | None, label: str) -> Biquaternion:
+    """x**-1 of a transform point x: the one admission rule, in one order.  It
+    raises ZeroDivisorError if x has no inverse; then OutsideROCError unless the
+    smaller root magnitude of x, which sets how slowly x**-n decays, is above
+    ``radius`` (None: no radius; ``label`` names it); then the constructor's
+    ValueError if x**-1 left double range, as for a point no radius refuses."""
+    x = as_biquaternion(x)
+    try:
+        x_inv, overflow = x.inverse(), None
+    except ValueError as exc:  # x**-1 left double range: raised once no radius refuses x
+        x_inv, overflow = None, exc
+    if radius is not None and (smaller := root_magnitudes(x)[1]) <= radius:
         raise OutsideROCError(f"smaller root magnitude {smaller} of x <= {label} {radius}")
+    if overflow is not None:
+        raise overflow
+    return x_inv
 
 
 def exp(q) -> Biquaternion:

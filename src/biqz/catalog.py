@@ -53,7 +53,7 @@ import math
 import random
 from typing import Callable, NamedTuple
 
-from .algebra import ONE, Biquaternion, _refuse_inside, _result, as_biquaternion, exp, root_magnitudes
+from .algebra import ONE, Biquaternion, _admit, _result, as_biquaternion, exp, root_magnitudes
 from .parsing import parse
 from .sequences import Sequence, _power_steps, _values, stepped
 
@@ -84,10 +84,8 @@ class CatalogEntry:
         return self.sequence.radius_hint
 
     def eval(self, x) -> Biquaternion:
-        """Closed-form transform value at x; requires root_magnitudes(x)[1] > roc_radius."""
-        x = as_biquaternion(x)
-        _refuse_inside(x, self.roc_radius, f"{self.name} radius")
-        return self._eval_fn(x.inverse())
+        """The closed form at x**-1, which ``algebra._admit`` returns or refuses by roc_radius."""
+        return self._eval_fn(_admit(x, self.roc_radius, f"{self.name} radius"))
 
     def __repr__(self):
         return f"CatalogEntry({self.name}, params={self.params}, roc_radius={self.roc_radius})"

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .algebra import ZERO, Biquaternion, _gap, _hamilton, _refuse_inside, _result, _sum_pieces, as_biquaternion
+from .algebra import ZERO, Biquaternion, _admit, _gap, _hamilton, _result, _sum_pieces, as_biquaternion
 from .catalog import CatalogEntry
 from .errors import NoConvergenceError, ZeroDivisorError
 from .sequences import Sequence, _stepper
@@ -139,7 +139,7 @@ def transform_value(
     x = complex(x)
     if rec._radius is None:
         rec._radius = roc_estimate(rec.solution(), 64)
-    _refuse_inside(x, rec._radius, "estimated radius")
+    _admit(x, rec._radius, "estimated radius")
 
     poly = sum([coeff * x**m for m, coeff in enumerate(rec.coeffs)], ZERO)
     if not poly.is_invertible():

@@ -20,7 +20,7 @@ from itertools import filterfalse, repeat
 from math import copysign, hypot, inf, isinf
 from typing import NamedTuple
 
-from .algebra import ONE, Biquaternion, _hamilton, _refuse_inside, _result, as_biquaternion, sum_products
+from .algebra import ONE, Biquaternion, _admit, _hamilton, _result, as_biquaternion, sum_products
 from .errors import DivergentSeriesError, NoConvergenceError
 from .sequences import Sequence, _stepper, advance, delay
 
@@ -86,11 +86,9 @@ def transform(
     :class:`TransformValue`).  The window records no ratio while every term so
     far is zero, so a leading run of zeros certifies nothing, and an all-zero
     sequence runs to ``max_terms`` and returns 0 uncertified.  Raises
-    NoConvergenceError when terms keep growing, and OutsideROCError when a
-    radius hint on ``f`` already rules the point out: the smaller root
-    magnitude of x, which sets how slowly x**-n decays, is not above it.
-    That refusal comes before the ValueError of an x**-1 past double range,
-    and after the ZeroDivisorError of a non-invertible x.
+    NoConvergenceError when terms keep growing.  The point is admitted once,
+    by ``algebra._admit`` against ``f``'s radius hint: its ZeroDivisorError,
+    OutsideROCError and ValueError come in that order, before any term.
 
     Each step fuses the product f_n * x**-n, the running sum and the next
     power x**-(n+1) over raw complex components, by ``_hamilton`` and
@@ -117,15 +115,7 @@ def transform(
         raise ValueError("eps must be positive")
     if max_terms <= 0:
         raise ValueError("max_terms must be positive")
-    x = as_biquaternion(x)
-    try:
-        x_inv = x.inverse()  # ZeroDivisorError for non-invertible points
-    except ValueError:  # x**-1 left double range; a point the hint rules out is refused first
-        if f.radius_hint is not None:
-            _refuse_inside(x, f.radius_hint, "radius hint")
-        raise
-    if f.radius_hint is not None:
-        _refuse_inside(x, f.radius_hint, "radius hint")
+    x_inv = _admit(x, f.radius_hint, "radius hint")
 
     # total = total + f_n * x_pow; x_pow = x_pow * x_inv, over components
     first = f.term(0)

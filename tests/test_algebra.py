@@ -16,6 +16,7 @@ from biqz import (
     as_biquaternion,
     cos_seq_term,
     exp,
+    format_literal,
     sin_seq_term,
 )
 from biqz.algebra import _result, i, j, k
@@ -508,3 +509,36 @@ class TestResultConstruction:
                 assert type(got) is Biquaternion
                 assert all(type(c) is complex for c in (got.w, got.x, got.y, got.z))
             assert q * scalar == q * 2.0 and q + scalar == q + 2.0
+
+
+class TestOperandsAndViews:
+    """The operators' answer to an operand that is not a number, and the
+    one-line views ``+q``, ``abs`` and ``str``."""
+
+    def test_from_components_wants_eight(self):
+        with pytest.raises(ValueError, match="eight real components"):
+            Biquaternion.from_components(range(7))
+
+    @pytest.mark.parametrize("op", [
+        lambda q: q + "a",
+        lambda q: q - "a",
+        lambda q: "a" - q,
+        lambda q: q * "a",
+        lambda q: "a" * q,
+        lambda q: q / "a",
+        lambda q: q / q,  # only scalars divide; q * q.inverse() is the quotient
+    ], ids=["add", "sub", "rsub", "mul", "rmul", "truediv", "truediv_by_biquaternion"])
+    def test_a_non_number_operand_is_a_type_error(self, op):
+        with pytest.raises(TypeError):
+            op(Biquaternion(1, 2j, 3, 4))
+
+    def test_equality_with_a_non_number_is_false(self):
+        q = Biquaternion(1, 2j, 3, 4)
+        assert (q == "a") is False
+        assert q != "a"
+
+    def test_unary_plus_abs_and_str(self):
+        q = Biquaternion(1 + 2j, -3, 0.5j, 4 - 1j)
+        assert +q is q
+        assert abs(q) == q.real_norm()
+        assert str(q) == format_literal(q)

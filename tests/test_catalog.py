@@ -262,3 +262,26 @@ class TestDomainChecks:
     def test_trig_radius_tracks_exponential_growth(self):
         entry = cat.cos_qn(2 * j)
         assert 6.5 <= entry.roc_radius <= math.e**2 + 0.1
+
+
+class _Scripted(random.Random):
+    """An rng whose uniform() replays fixed values."""
+
+    def __init__(self, values):
+        super().__init__(0)
+        self._values = iter(values)
+
+    def uniform(self, a, b):
+        return next(self._values)
+
+
+class TestDrawConditioned:
+    KEPT = [0.9, 0.1, 0.2, 0, 0, 0, 0, 0]  # 0.9+0.1I+0.2i, roots 0.95 and 0.91
+
+    @pytest.mark.parametrize("refused", [
+        [0.2, 0, 0, 0, 0, 0, 0, 0],  # component size 0.2: too small to resolve
+        [1, 0, 0, 0, 0, 0, 0, 1],  # 1+1Ik: complex norm 0, a zero divisor
+    ], ids=["small", "zero_divisor"])
+    def test_a_refused_draw_is_redrawn(self, refused):
+        rng = _Scripted(refused + self.KEPT)
+        assert cat.draw_conditioned(rng) == Biquaternion(0.9 + 0.1j, 0.2)

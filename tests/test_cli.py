@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from biqz.cli import main
+from biqz.cli import load_bundled_spec, main
 
 
 def run_cli(capsys, *argv):
@@ -302,3 +302,23 @@ class TestClosedStdout:
         proc.stderr.close()
         assert proc.wait(timeout=60) == code
         assert err == b""
+
+
+class TestSmallPaths:
+    def test_text_report_names_its_error(self, capsys):
+        code, out = run_cli(capsys, "eval", "pow_p", "--param", "p=2", "--at", "1.5")
+        assert code == 3
+        assert out.splitlines()[:2] == [
+            "eval: FAIL",
+            "  error OutsideROC: smaller root magnitude 1.5 of x <= radius hint 2.0",
+        ]
+
+    def test_param_without_equals_is_a_parse_error(self, capsys):
+        code, report = run_json(capsys, "eval", "pow_p", "--param", "p", "--at", "4")
+        assert code == 2
+        assert report["errors"][0]["name"] == "LiteralParse"
+
+    def test_unknown_bundled_spec_names_the_five(self):
+        with pytest.raises(KeyError) as raised:
+            load_bundled_spec("example9")
+        assert "example1, example2, example3, example4, example5" in str(raised.value)

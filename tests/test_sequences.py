@@ -92,3 +92,9 @@ class TestShifts:
             advance(seq, -1)
         with pytest.raises(ValueError):
             delay(seq, -1)
+
+
+class TestRepr:
+    def test_named_and_unnamed(self):
+        assert repr(catalog.pow_p(0.5).sequence) == "Sequence(pow_p, radius_hint=0.5)"
+        assert repr(Sequence(lambda n: ONE)) == "Sequence(anonymous, radius_hint=None)"

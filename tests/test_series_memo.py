@@ -7,7 +7,9 @@ import random
 import pytest
 
 from biqz import (
+    ONE,
     Biquaternion,
+    LinearRecurrence,
     OutsideROCError,
     Sequence,
     ZeroDivisorError,
@@ -15,6 +17,7 @@ from biqz import (
     catalog,
     parse,
     transform,
+    transform_value,
 )
 from biqz.cli import main
 
@@ -75,6 +78,51 @@ class TestOverflowingInverse:
     def test_a_zero_divisor_is_still_reported_first(self):
         with pytest.raises(ZeroDivisorError):
             transform(catalog.const_one().sequence, parse("1e-320+1e-320Ik"))
+
+
+ROWS = {"pow_p": lambda: catalog.pow_p(0.5), "exp_over_fact": lambda: catalog.exp_over_fact(0.5)}
+EVALUATORS = {
+    "transform": lambda entry, x: transform(entry.sequence, x),
+    "eval": lambda entry, x: entry.eval(x),
+}
+
+
+class TestOneAdmissionOrder:
+    """transform, CatalogEntry.eval and transform_value admit a point by one rule
+    in one order: ZeroDivisorError for a point with no inverse, then
+    OutsideROCError at or inside the radius, then the constructor's ValueError
+    where x**-1 leaves double range."""
+
+    @pytest.mark.parametrize("how", list(EVALUATORS))
+    @pytest.mark.parametrize("row, point, error", [
+        ("pow_p", "1+1Ik", ZeroDivisorError),
+        ("pow_p", "0.3", OutsideROCError),
+        ("pow_p", "1e-320", OutsideROCError),
+        ("exp_over_fact", "1+1Ik", ZeroDivisorError),
+        ("exp_over_fact", "1e-320", ValueError),  # radius 0 refuses nothing, and x**-1 overflows
+    ])
+    def test_catalog_rows(self, how, row, point, error):
+        with pytest.raises(Exception) as raised:
+            EVALUATORS[how](ROWS[row](), parse(point))
+        assert raised.type is error
+
+    @pytest.mark.parametrize("point, error", [
+        (0, ZeroDivisorError),
+        (0.3, OutsideROCError),
+        (1e-320, OutsideROCError),
+    ])
+    def test_transform_value(self, point, error):
+        rec = LinearRecurrence([-0.5, ONE], [ONE])  # f_n = 0.5**n, estimated radius 0.5
+        with pytest.raises(Exception) as raised:
+            transform_value(rec, point)
+        assert raised.type is error
+
+    @pytest.mark.parametrize("point, code, name", [("1+1Ik", 3, "ZeroDivisor"), ("1e-320", 2, "Value")])
+    def test_cli(self, capsys, point, code, name):
+        got = main(["eval", "exp_over_fact", "--param", "q=0.5", "--at", point, "--json"])
+        report = json.loads(capsys.readouterr().out)
+        assert got == code
+        assert report["errors"][0]["name"] == name
 
 
 class TestScalarTermsAtBiquaternionPoints:
