@@ -219,13 +219,7 @@ class Biquaternion:
         """conj(q) / (q * conj(q)); raises ZeroDivisorError unless is_invertible().  A q
         refused because its squares left double range or its normal range inverts as
         u**-1 / c, (u, c) = _unit_copy(q)."""
-        cns = self.complex_norm_sq()
-        if not _invertible(self, cns):
-            unit, c = _unit_copy(self)
-            if not _invertible(unit, unit.complex_norm_sq()):
-                raise ZeroDivisorError(f"complex norm {cns!r} is numerically zero; no inverse exists")
-            return unit.inverse() / c
-        return _result(self.w / cns, -self.x / cns, -self.y / cns, -self.z / cns)
+        return _inverse(self, self.complex_norm_sq())
 
     def vec_abs(self) -> complex:
         """Principal complex square root of x**2 + y**2 + z**2.
@@ -261,6 +255,16 @@ def _invertible(q: Biquaternion, cns: complex) -> bool:
     size = q.component_norm()  # squared by *, as float ** raises OverflowError where * gives inf
     norm = abs(cns)
     return norm >= _NORMAL_MIN and norm > INVERTIBILITY_TOL * (size * size)
+
+
+def _inverse(q: Biquaternion, cns: complex) -> Biquaternion:
+    """q.inverse(), given q's complex norm cns = q * conj(q)."""
+    if not _invertible(q, cns):
+        unit, c = _unit_copy(q)
+        if not _invertible(unit, unit.complex_norm_sq()):
+            raise ZeroDivisorError(f"complex norm {cns!r} is numerically zero; no inverse exists")
+        return unit.inverse() / c
+    return _result(q.w / cns, -q.x / cns, -q.y / cns, -q.z / cns)
 
 
 def _unit_copy(q: Biquaternion) -> tuple[Biquaternion, float]:
@@ -401,21 +405,20 @@ def root_magnitudes(q) -> tuple[float, float]:
     the roots are those of q's :func:`_unit_copy` u, times c: they scale with q.
     """
     q = as_biquaternion(q)
-    a, b, trusted = _roots(q)
-    if not trusted:
-        unit, c = _unit_copy(q)
-        a, b, _ = _roots(unit)
-        a, b = a * c, b * c
-    return max(a, b), min(a, b)
+    return _root_magnitudes(q, q.complex_norm_sq())
 
 
-def _roots(q: Biquaternion) -> tuple[float, float, bool]:
-    """|q0 + s|, |q0 - s| with s = sqrt(q0**2 - cns), and whether they hold:
-    not where q0**2 or cns left double range, or both fell below its normal range."""
-    w2, cns = q.w * q.w, q.complex_norm_sq()
+def _root_magnitudes(q: Biquaternion, cns: complex, retry: bool = True) -> tuple[float, float]:
+    """root_magnitudes(q), given q's cns = q * conj(q): |q0 +- sqrt(q0**2 - cns)|, taken once on the
+    unit copy where q0**2 or cns left double range, or both fell below its normal range."""
+    w2 = q.w * q.w
     s = cmath.sqrt(w2 - cns)
     a, b = abs(q.w + s), abs(q.w - s)
-    return a, b, math.isfinite(a) and math.isfinite(b) and (abs(w2) >= _NORMAL_MIN or abs(cns) >= _NORMAL_MIN)
+    if retry and not (_isfinite(a) and _isfinite(b) and (abs(w2) >= _NORMAL_MIN or abs(cns) >= _NORMAL_MIN)):
+        unit, c = _unit_copy(q)
+        a, b = _root_magnitudes(unit, unit.complex_norm_sq(), False)
+        a, b = a * c, b * c
+    return max(a, b), min(a, b)
 
 
 def _admit(x, radius: float | None, label: str) -> Biquaternion:
@@ -425,11 +428,12 @@ def _admit(x, radius: float | None, label: str) -> Biquaternion:
     ``radius`` (None: no radius; ``label`` names it); then the constructor's
     ValueError if x**-1 left double range, as for a point no radius refuses."""
     x = as_biquaternion(x)
+    cns = x.complex_norm_sq()  # one complex norm, for the inverse and the root magnitudes
     try:
-        x_inv, overflow = x.inverse(), None
+        x_inv, overflow = _inverse(x, cns), None
     except ValueError as exc:  # x**-1 left double range: raised once no radius refuses x
         x_inv, overflow = None, exc
-    if radius is not None and (smaller := root_magnitudes(x)[1]) <= radius:
+    if radius is not None and (smaller := _root_magnitudes(x, cns)[1]) <= radius:
         raise OutsideROCError(f"smaller root magnitude {smaller} of x <= {label} {radius}")
     if overflow is not None:
         raise overflow

@@ -30,7 +30,7 @@ from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 
 from . import __version__, catalog
-from .algebra import ZERO, Biquaternion, _gap, root_magnitudes
+from .algebra import ZERO, Biquaternion, _admit, _gap, root_magnitudes
 from .errors import BiqzError, LiteralParseError, ZeroDivisorError
 from .parsing import format_literal, parse
 from .recurrence import (
@@ -43,7 +43,7 @@ from .recurrence import (
     verify_closed_form,
 )
 from .sequences import Sequence
-from .ztransform import DEFAULT_EPS, DEFAULT_MAX_TERMS, convolve, transform
+from .ztransform import DEFAULT_EPS, DEFAULT_MAX_TERMS, _check_limits, _series, convolve, transform
 
 _DEFAULT_VERIFY_TOL = 1e-10
 _DEFAULT_REC_TOL = 1e-9
@@ -128,8 +128,9 @@ def _series_check(entry: catalog.CatalogEntry, x, args):
     excess of the deviation over the budget) at x.  The check passes iff the
     excess is <= 0.  An uncertified series, one that spent ``max_terms``, has
     an inf budget that any deviation would meet, so its excess is inf."""
-    series = transform(entry.sequence, x, eps=args.eps, max_terms=args.max_terms)
-    closed = entry.eval(x)
+    _check_limits(args.eps, args.max_terms)  # then x is admitted once, as transform admits it
+    y = _admit(x, entry.sequence.radius_hint, "radius hint")
+    series, closed = _series(entry.sequence, y, args.eps, args.max_terms), entry._eval_fn(y)
     deviation = (series.value - closed).component_norm()
     budget = series.tail_bound + args.tol
     return series, closed, deviation, budget, deviation - budget if series.certified else math.inf

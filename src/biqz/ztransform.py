@@ -92,36 +92,41 @@ def transform(
 
     Each step fuses the product f_n * x**-n, the running sum and the next
     power x**-(n+1) over raw complex components, by ``_hamilton`` and
-    ``__add__``'s expressions in their order, and one Biquaternion is built
-    per result; values, term counts and tail bounds are bit-identical to the
-    loop of Biquaternion operations.  A term already in ``f``'s memo is read
-    from it directly, and ``f.term`` is called only for the others.  As in
-    that loop, a term f_n, a product or a power x**-n that leaves double
-    range ends the series, and a finite product whose size overflows raises
-    NoConvergenceError.  The power is stepped unchecked: past double range
-    it makes the next product inf or NaN, which ends the series where an
-    overflowing product does.
+    ``__add__``'s expressions in their order, and builds one Biquaternion
+    per result: values, term counts and tail bounds are bit-identical to the
+    loop of Biquaternion operations.  A memoized term is read from ``f``'s
+    memo, and ``f.term`` is called only for the others.  As in that loop, a
+    term f_n, a product or a power x**-n (stepped unchecked: it makes the
+    next product inf or NaN) that leaves double range ends the series, and a
+    finite product whose size overflows raises NoConvergenceError.
 
     At a complex point (x**-1 has a zero vector part) x**-n stays a complex
     number: each term is f_n scaled by it, and each power step is one
-    complex product.  Elsewhere a scalar term (f_n has a zero vector part)
-    scales x**-n, 4 complex products where the Hamilton product takes 16.
-    The full products differ from these only in the sign of parts that are
-    exactly zero, which the sizes ignore and a running sum free of -0.0
-    parts never shows (+0 + -0 == +0); so an f_0 with a -0.0 part takes the
-    full products on both paths.
+    complex product.  Elsewhere a scalar term (zero vector part) scales
+    x**-n, 4 complex products where the Hamilton product takes 16.  The full
+    products differ from these only in the sign of exactly-zero parts, which
+    the sizes ignore and a running sum free of -0.0 parts never shows
+    (+0 + -0 == +0); so an f_0 with a -0.0 part takes the full products.
     """
+    _check_limits(eps, max_terms)
+    return _series(f, _admit(x, f.radius_hint, "radius hint"), eps, max_terms)
+
+
+def _check_limits(eps: float, max_terms: int) -> None:  # transform's, made before admission
     if not eps > 0:  # a NaN eps would certify any tail
         raise ValueError("eps must be positive")
     if max_terms <= 0:
         raise ValueError("max_terms must be positive")
-    x_inv = _admit(x, f.radius_hint, "radius hint")
 
+
+def _series(f: Sequence, x_inv: Biquaternion, eps: float, max_terms: int) -> TransformValue:
+    """:func:`transform`'s series at an admitted point x, given x**-1."""
     # total = total + f_n * x_pow; x_pow = x_pow * x_inv, over components
     first = f.term(0)
     tw, tx, ty, tz = first.w, first.x, first.y, first.z
     prev_size = first.component_norm()
     ratios: deque[float] = deque(maxlen=_RATIO_WINDOW)
+    append, window, bail = ratios.append, _RATIO_WINDOW, _DIVERGENCE_BAIL
     iw, ix, iy, iz = x_inv.w, x_inv.x, x_inv.y, x_inv.z
     qw, qx, qy, qz = iw, ix, iy, iz  # x**-n
     # both fast paths below need an f_0 free of -0.0 parts: copysign reads each zero part's sign
@@ -141,36 +146,41 @@ def transform(
                 # (a recurrence solution reports that as NoConvergenceError);
                 # settle for whatever certification the window supports
                 break
-        pw, px, py, pz = p.w, p.x, p.y, p.z
         # the term f_n * x**-n
         if scaled:
-            aw, ax, ay, az = pw * qw, px * qw, py * qw, pz * qw
-        elif clean and px == py == pz == 0:
-            aw, ax, ay, az = pw * qw, pw * qx, pw * qy, pw * qz
+            aw = p.w * qw
+            ax = p.x * qw
+            ay = p.y * qw
+            az = p.z * qw
+        elif clean and p.x == p.y == p.z == 0:
+            aw, ax, ay, az = p.w * qw, p.w * qx, p.w * qy, p.w * qz
         else:
-            aw, ax, ay, az = _hamilton(pw, px, py, pz, qw, qx, qy, qz)
+            aw, ax, ay, az = _hamilton(p.w, p.x, p.y, p.z, qw, qx, qy, qz)
         size = hypot(aw.real, aw.imag, ax.real, ax.imag, ay.real, ay.imag, az.real, az.imag)
         # also true when size is inf or NaN; only then are the components inspected
-        if not size <= _DIVERGENCE_BAIL:
+        if not size <= bail:
             if not (isfinite(aw) and isfinite(ax) and isfinite(ay) and isfinite(az)):
                 break  # f_n * x**-n or x**-n left double range: as for f_n above
-            raise NoConvergenceError(f"terms exceed {_DIVERGENCE_BAIL:g} at index {n}")
+            raise NoConvergenceError(f"terms exceed {bail:g} at index {n}")
         # terms are at most _DIVERGENCE_BAIL, below half an ulp of the largest
         # double, so the running sum cannot leave range; _result checks it anyway
-        tw, tx, ty, tz = tw + aw, tx + ax, ty + ay, tz + az
+        tw = tw + aw  # one store a line: a 4-tuple assignment builds and unpacks a tuple
+        tx = tx + ax
+        ty = ty + ay
+        tz = tz + az
         used = n + 1
         if prev_size == 0.0:
             ratio = inf if size > 0.0 else 0.0
             if ratio or ratios:  # no ratio while every term so far is zero
-                ratios.append(ratio)
+                append(ratio)
         else:
             ratio = size / prev_size
-            ratios.append(ratio)
+            append(ratio)
         prev_size = size
         # the window's max is at least this ratio, and the rounded tail
         # size*r/(1-r) does not fall as r grows, so a window can certify only
         # where its newest ratio alone would: skip the scan otherwise
-        if ratio < 1.0 and size * ratio / (1.0 - ratio) <= eps and len(ratios) == _RATIO_WINDOW:
+        if ratio < 1.0 and size * ratio / (1.0 - ratio) <= eps and len(ratios) == window:
             r = max(ratios)
             if r < 1.0 and size * r / (1.0 - r) <= eps:
                 break  # certified: the window test below returns this tail
@@ -181,7 +191,7 @@ def transform(
             qw, qx, qy, qz = _hamilton(qw, qx, qy, qz, iw, ix, iy, iz)
 
     total = _result(tw, tx, ty, tz)
-    if len(ratios) == _RATIO_WINDOW:
+    if len(ratios) == window:
         r = max(ratios)
         if r < 1.0:
             return TransformValue(total, used, prev_size * r / (1.0 - r))
