@@ -363,9 +363,7 @@ def _check_zero_divisor_powers() -> tuple[dict, bool]:
     worst = 0.0
     for n in range(1, 21):
         expected = base * 2.0 ** (n - 1)
-        power = base**n
-        rel = (power - expected).component_norm() / expected.component_norm()
-        worst = max(worst, rel)
+        worst = max(worst, (base**n - expected).component_norm() / expected.component_norm())
     ok = worst <= 1e-12
     try:
         base.inverse()

@@ -23,7 +23,7 @@ from .algebra import ZERO, Biquaternion, _admit, _gap, _hamilton, _result, _sum_
 from .catalog import CatalogEntry
 from .errors import NoConvergenceError, ZeroDivisorError
 from .sequences import Sequence, _stepper
-from .ztransform import DEFAULT_EPS, DEFAULT_MAX_TERMS, roc_estimate, transform
+from .ztransform import DEFAULT_EPS, DEFAULT_MAX_TERMS, _check_limits, _series, roc_estimate
 
 
 class ForcingTerm:
@@ -60,7 +60,7 @@ class LinearRecurrence:
             )
         self.forcing = list(forcing)
         self._solution: Sequence | None = None
-        self._radius: float | None = None  # transform_value's growth survey, taken once
+        self._radius: float | None = None  # transform_value's solve radius, surveyed once
 
     def _forcing(self, n: int) -> list[tuple[Biquaternion, Biquaternion]]:
         """The (g_{n+k}, q_k) pairs of the relation's right side, in order."""
@@ -132,14 +132,16 @@ def transform_value(
     as x is complex), L(x) the shifting-rule boundary of the initial values
     under the p_m, and G(x) the sum over forcing terms of X[g](x) * Q(x),
     Q(x) = sum q_k * x**k, less the boundary of g under the q_k; the result is
-    (L(x) + G(x)) * P(x)**-1.
+    (L(x) + G(x)) * P(x)**-1.  After ``transform``'s eps/max_terms checks, x is admitted
+    once, against the largest of roc_estimate(solution, 64) and each X[g]'s radius
+    (entry roc_radius, else radius hint), and every X[g] is read at that one x**-1.
     """
-    if isinstance(x, Biquaternion):
-        x = x.to_complex()
-    x = complex(x)
+    _check_limits(eps, max_terms)
+    x = x.to_complex() if isinstance(x, Biquaternion) else complex(x)
     if rec._radius is None:
-        rec._radius = roc_estimate(rec.solution(), 64)
-    _admit(x, rec._radius, "estimated radius")
+        radii = [ft.entry.roc_radius if ft.entry is not None else ft.sequence.radius_hint for ft in rec.forcing]
+        rec._radius = max([roc_estimate(rec.solution(), 64), *(r for r in radii if r is not None)])
+    y = _admit(x, rec._radius, "solve radius")
 
     poly = sum([coeff * x**m for m, coeff in enumerate(rec.coeffs)], ZERO)
     if not poly.is_invertible():
@@ -147,8 +149,8 @@ def transform_value(
 
     boundary = _shift_boundary(rec.initial.__getitem__, rec.coeffs, x)
     for ft in rec.forcing:
-        value = (ft.entry.eval(x) if ft.entry is not None
-                 else transform(ft.sequence, x, eps=eps, max_terms=max_terms).value)
+        value = (ft.entry._eval_fn(y) if ft.entry is not None
+                 else _series(ft.sequence, y, eps, max_terms).value)
         shifted = sum([value * x**k * coeff for k, coeff in enumerate(ft.coeffs)], ZERO)
         boundary = boundary + (shifted - _shift_boundary(ft.sequence.term, ft.coeffs, x))
     return boundary * poly.inverse()

@@ -281,12 +281,12 @@ def advance_transform(
 def delay_transform(
     f: Sequence, k: int, x, eps: float = DEFAULT_EPS, max_terms: int = DEFAULT_MAX_TERMS
 ) -> Biquaternion:
-    """Transform of the zero-padded delay n -> f_{n-k} at x: X[f](x) * x**-k."""
+    """Transform of the zero-padded delay n -> f_{n-k} at x: X[f](x) * x**-k, by transform's x**-1."""
     if k <= 0:
         raise ValueError("shift must be positive")
-    x = as_biquaternion(x)
-    base = transform(f, x, eps=eps, max_terms=max_terms).value
-    return base * x.inverse() ** k
+    _check_limits(eps, max_terms)
+    y = _admit(x, f.radius_hint, "radius hint")
+    return _series(f, y, eps, max_terms).value * y**k
 
 
 def index_scale_transform(

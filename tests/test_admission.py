@@ -1,18 +1,24 @@
 """The admission of a transform point: ``algebra._admit`` takes x's complex norm
-once and shares it between the inverse and the root magnitudes, and each CLI
-check point is admitted once."""
+once and shares it between the inverse and the root magnitudes, each CLI check
+point is admitted once, and so is each point of a transform-domain solve."""
 import json
 import math
 import random
+from pathlib import Path
 
 import pytest
 
+import biqz.algebra
 import biqz.catalog
 import biqz.cli
+import biqz.recurrence
 import biqz.ztransform
-from biqz import Biquaternion, OutsideROCError, ZeroDivisorError
+from biqz import Biquaternion, OutsideROCError, ZeroDivisorError, catalog
 from biqz.algebra import INVERTIBILITY_TOL, _admit, root_magnitudes
-from biqz.cli import main
+from biqz.cli import _load_recurrence, load_bundled_spec, main
+from biqz.recurrence import ForcingTerm, LinearRecurrence, transform_value
+from biqz.sequences import Sequence
+from biqz.ztransform import delay_transform, transform
 
 from helpers import rand_biquat
 
@@ -115,15 +121,25 @@ class TestSharedNormAdmission:
             assert _got(x, 0.25, "r") == _expected(Biquaternion(x), 0.25, "r")
 
 
-def _count_admissions(monkeypatch, argv: list[str]) -> int:
-    calls = []
+def _counted(monkeypatch, modules, name: str) -> list:
+    """The calls to ``name``, wrapped where each of ``modules`` looks it up."""
+    calls, real = [], getattr(modules[0], name)
 
     def counted(*args):
         calls.append(args)
-        return _admit(*args)
+        return real(*args)
 
-    for module in (biqz.cli, biqz.ztransform, biqz.catalog):
-        monkeypatch.setattr(module, "_admit", counted)
+    for module in modules:
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def _admissions(monkeypatch) -> list:
+    return _counted(monkeypatch, (biqz.cli, biqz.ztransform, biqz.catalog, biqz.recurrence), "_admit")
+
+
+def _count_admissions(monkeypatch, argv: list[str]) -> int:
+    calls = _admissions(monkeypatch)
     main(argv)
     return len(calls)
 
@@ -139,3 +155,81 @@ class TestOneAdmissionPerCheckPoint:
     def test_eval(self, monkeypatch, capsys):
         assert _count_admissions(monkeypatch, ["eval", "pow_p", "--param", "p=0.5", "--at", "2"]) == 1
         assert "PASS" in capsys.readouterr().out
+
+
+class TestOneAdmissionPerSolvePoint:
+    def test_recurrence_spec(self, monkeypatch, capsys):
+        spec = str(Path(biqz.cli.__file__).parent / "specs" / "example4.json")
+        # 3 sample points: one admission for the solve, one for the direct series cross-check
+        assert _count_admissions(monkeypatch, ["recurrence", spec, "--json"]) == 6
+        assert json.loads(capsys.readouterr().out)["pass"]
+
+    def test_paper_suite(self, monkeypatch, capsys):
+        assert _count_admissions(monkeypatch, ["paper-suite", "--json"]) == 24
+        assert json.loads(capsys.readouterr().out)["pass"]
+
+    def test_transform_value(self, monkeypatch):
+        payload = load_bundled_spec("example4")
+        rec = _load_recurrence(payload)
+        calls = _admissions(monkeypatch)
+        for n, literal in enumerate(payload["x_samples"], 1):
+            transform_value(rec, biqz.parse(literal))
+            assert len(calls) == n
+
+    def test_delay_transform_inverts_once(self, monkeypatch):
+        f, x = catalog.pow_p(0.5).sequence, Biquaternion(2.0, 0.5, 0.0, 0.25j)
+        expected = transform(f, x).value * x.inverse() ** 3
+        inversions = _counted(monkeypatch, (biqz.algebra,), "_inverse")
+        got = delay_transform(f, 3, x)
+        assert len(inversions) == 1
+        assert _reprs(got) == _reprs(expected)
+
+
+def _cancelling(with_entry: bool, coeffs=(-0.5, 1), initial=(1,)) -> LinearRecurrence:
+    """f(n+1) - 0.5*f(n) = g(n+1) - 2*g(n) with g = 2**n: the right side is exactly 0,
+    so f = 0.5**n, whose estimated radius is 0.5, and the forcing radius is 2."""
+    entry = catalog.pow_p(2)
+    g = entry.sequence if with_entry else Sequence(entry.sequence.term, radius_hint=entry.roc_radius)
+    return LinearRecurrence(coeffs, initial, [ForcingTerm(g, [-2, 1], entry=entry if with_entry else None)])
+
+
+class TestSolveRadius:
+    """One admission refuses every point that the estimate or a forcing radius refuses,
+    with one label, and leaves the values at admitted points bit for bit."""
+
+    @pytest.mark.parametrize("with_entry", [True, False])
+    @pytest.mark.parametrize("x", [1, 2, 0.5, 0.3])
+    def test_forcing_radius_refuses(self, with_entry, x):
+        with pytest.raises(OutsideROCError):
+            transform_value(_cancelling(with_entry), x)
+
+    @pytest.mark.parametrize("with_entry", [True, False])
+    def test_one_label_names_the_largest_radius(self, with_entry):
+        with pytest.raises(OutsideROCError, match=r"^smaller root magnitude 0\.3 of x <= solve radius 2\.0$"):
+            transform_value(_cancelling(with_entry), 0.3)
+
+    @pytest.mark.parametrize("with_entry, x, value", [
+        (True, 2.5, 1.25),
+        (True, 4, 1.1428571428571428),
+        (False, 2.5, 1.2499999999997993),
+        (False, 4, 1.142857142856623),
+    ])
+    def test_values_outside_every_radius(self, with_entry, x, value):
+        assert _reprs(transform_value(_cancelling(with_entry), x)) == _reprs(Biquaternion(value))
+
+    @pytest.mark.parametrize("with_entry", [True, False])
+    def test_limits_are_checked_first(self, with_entry):
+        with pytest.raises(ValueError, match="eps must be positive"):
+            transform_value(_cancelling(with_entry), 3, eps=0)
+
+    def test_zero_is_not_invertible(self):
+        with pytest.raises(ZeroDivisorError):
+            transform_value(_cancelling(True), 0)
+
+    @pytest.mark.parametrize("with_entry", [True, False])
+    def test_refusal_precedes_the_solve(self, with_entry):
+        # P(x) = x - 1.5 is singular at 1.5 and f = 0 estimates radius 0, so only
+        # the forcing radius refuses 1.5: refusal comes before the singular P(x)
+        rec = _cancelling(with_entry, coeffs=(-1.5, 1), initial=(0,))
+        with pytest.raises(OutsideROCError, match="solve radius 2.0"):
+            transform_value(rec, 1.5)

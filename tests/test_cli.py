@@ -303,6 +303,19 @@ class TestClosedStdout:
         assert proc.wait(timeout=60) == code
         assert err == b""
 
+    def test_reader_closing_after_100_bytes(self):
+        # as `| head -c 100`: part of the report is read before the pipe closes
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.Popen([sys.executable, "-m", "biqz", "verify-catalog", "--json", "--seed", "0"],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        assert len(proc.stdout.read(100)) == 100
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 0
+        assert err == b""
+
 
 class TestSmallPaths:
     def test_text_report_names_its_error(self, capsys):
