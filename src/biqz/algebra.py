@@ -320,11 +320,12 @@ def _hamilton(pw, px, py, pz, qw, qx, qy, qz) -> tuple[complex, complex, complex
     )
 
 
-def _sum_pieces(pairs, acc=(0j, 0j, 0j, 0j), subtract=False, scale=None):
+def _sum_pieces(pairs, acc=(0j, 0j, 0j, 0j), scale=None):
     """((w, x, y, z), max(scale, each piece's component norm) if a scale is
-    given): acc plus (or minus) each piece term * coeff in turn, by
-    :func:`_hamilton` and ``__add__``'s and ``__sub__``'s expressions in their
-    order.  Unchecked, like :func:`_hamilton`."""
+    given): acc plus each piece term * coeff in turn, by :func:`_hamilton` and
+    ``__add__``'s expressions in their order.  A difference adds the products
+    by negated coefficients, equal to the subtracted products but in the sign
+    of exactly-zero parts.  Unchecked, like :func:`_hamilton`."""
     w, x, y, z = acc
     for p, q in pairs:
         aw, ax, ay, az = _hamilton(p.w, p.x, p.y, p.z, q.w, q.x, q.y, q.z)
@@ -332,10 +333,7 @@ def _sum_pieces(pairs, acc=(0j, 0j, 0j, 0j), subtract=False, scale=None):
             size = math.hypot(aw.real, aw.imag, ax.real, ax.imag, ay.real, ay.imag, az.real, az.imag)
             if size > scale:  # as max(): a NaN size never replaces the scale
                 scale = size
-        if subtract:
-            w, x, y, z = w - aw, x - ax, y - ay, z - az
-        else:
-            w, x, y, z = w + aw, x + ax, y + ay, z + az
+        w, x, y, z = w + aw, x + ax, y + ay, z + az
     return (w, x, y, z), scale
 
 
@@ -382,17 +380,15 @@ def isclose(p, q, rel_tol: float = 1e-9, abs_tol: float = 0.0) -> bool:
 
 
 def sum_products(pairs) -> Biquaternion:
-    """a0*b0 + a1*b1 + ... over (a, b) pairs of biquaternions.
+    """a0*b0 + a1*b1 + ... over one or more (a, b) pairs of biquaternions.
 
-    Bit-identical to ``total = a0*b0; total = total + a*b`` for the rest: the
-    sum starts from the first product, so signed zeros survive, and an
-    overflow raises the constructor's ValueError."""
-    it = iter(pairs)
-    try:
-        a, b = next(it)
-    except StopIteration:
-        raise ValueError("sum_products needs at least one pair") from None
-    return _result(*_sum_pieces(it, _hamilton(a.w, a.x, a.y, a.z, b.w, b.x, b.y, b.z))[0])
+    Bit-identical to ``total = ZERO; total = total + a*b`` for each pair, so
+    to the sum from the first product up to the sign of exactly-zero parts;
+    an overflow raises the constructor's ValueError."""
+    pairs = list(pairs)
+    if not pairs:
+        raise ValueError("sum_products needs at least one pair")
+    return _result(*_sum_pieces(pairs)[0])
 
 
 def root_magnitudes(q) -> tuple[float, float]:

@@ -109,7 +109,7 @@ def _family(name: str, params: dict, q: Biquaternion, m: int, s: int) -> Catalog
         rho = root_magnitudes(q)[0]
         terms = _values(_power_steps(q, rho), lambda n: math.comb(n + m - s, m))
         return _entry(name, params, rho, terms, lambda y: _closed(q, y, m, s))
-    seq = Sequence.geometric(q)  # unweighted, carrying its ratio: a weight of 1 could flip a zero's sign
+    seq = Sequence.geometric(q)  # the one unweighted power sequence, carrying its ratio and radius hint
     seq.name = name
     return CatalogEntry(name, params, seq, lambda y: _closed(q, y, m, s))
 
@@ -164,8 +164,7 @@ def _half_sum(a, b) -> Biquaternion:
 
 def _half_i_difference(a, b) -> Biquaternion:
     (aw, ax, ay, az), (bw, bx, by, bz) = a, b
-    return _result((bw * 0.5 - aw * 0.5) * 1j, (bx * 0.5 - ax * 0.5) * 1j,
-                   (by * 0.5 - ay * 0.5) * 1j, (bz * 0.5 - az * 0.5) * 1j)
+    return _result(bw * 0.5j - aw * 0.5j, bx * 0.5j - ax * 0.5j, by * 0.5j - ay * 0.5j, bz * 0.5j - az * 0.5j)
 
 
 def cos_qn(q) -> CatalogEntry:

@@ -73,18 +73,19 @@ class LinearRecurrence:
     def solution(self) -> Sequence:
         """The forward iteration as a lazily extended sequence: each term is
         (rhs - sum_{m<M} f_{base+m} * p_m) * p_M**-1, built once from raw
-        components bit-identical to those Biquaternion operations.  The window
+        components bit-identical to those Biquaternion operations up to the
+        sign of exactly-zero parts, as rhs + f_{base+m} * (-p_m).  The window
         (f_k, ..., f_{k+M-1}) steps through ``sequences._stepper`` from the
         initial values, and a term n >= M is the last entry of window n-M+1."""
         if self._solution is None:
             lead_inv = self.coeffs[-1].inverse()
             iw, ix, iy, iz = lead_inv.w, lead_inv.x, lead_inv.y, lead_inv.z
-            initial, order = tuple(self.initial), self.order
+            initial, order, negated = tuple(self.initial), self.order, [-c for c in self.coeffs]
 
             def step(k: int, window: tuple[Biquaternion, ...]) -> tuple[Biquaternion, ...]:
                 try:
                     acc, _ = _sum_pieces(self._forcing(k - 1))
-                    (w, x, y, z), _ = _sum_pieces(zip(window, self.coeffs), acc, subtract=True)
+                    (w, x, y, z), _ = _sum_pieces(zip(window, negated), acc)
                     return window[1:] + (_result(*_hamilton(w, x, y, z, iw, ix, iy, iz)),)
                 except ValueError as exc:  # a component left double range
                     raise NoConvergenceError(
@@ -135,6 +136,7 @@ def transform_value(
     (L(x) + G(x)) * P(x)**-1.  After ``transform``'s eps/max_terms checks, x is admitted
     once, against the largest of roc_estimate(solution, 64) and each X[g]'s radius
     (entry roc_radius, else radius hint), and every X[g] is read at that one x**-1.
+    A series X[g] (no entry) whose tail bound is not within eps raises NoConvergenceError.
     """
     _check_limits(eps, max_terms)
     x = x.to_complex() if isinstance(x, Biquaternion) else complex(x)
@@ -149,8 +151,12 @@ def transform_value(
 
     boundary = _shift_boundary(rec.initial.__getitem__, rec.coeffs, x)
     for ft in rec.forcing:
-        value = (ft.entry._eval_fn(y) if ft.entry is not None
-                 else _series(ft.sequence, y, eps, max_terms).value)
+        if ft.entry is not None:
+            value = ft.entry._eval_fn(y)
+        else:
+            value, used, tail = _series(ft.sequence, y, eps, max_terms)
+            if not tail <= eps:  # an uncertified X[g] would enter the solve unannounced
+                raise NoConvergenceError(f"forcing series uncertified after {used} terms (tail bound {tail:g})")
         shifted = sum([value * x**k * coeff for k, coeff in enumerate(ft.coeffs)], ZERO)
         boundary = boundary + (shifted - _shift_boundary(ft.sequence.term, ft.coeffs, x))
     return boundary * poly.inverse()

@@ -16,8 +16,7 @@ from __future__ import annotations
 
 from collections import deque
 from cmath import isfinite
-from itertools import filterfalse, repeat
-from math import copysign, hypot, inf, isinf
+from math import hypot, inf, isinf
 from typing import NamedTuple
 
 from .algebra import ONE, Biquaternion, _admit, _hamilton, _result, as_biquaternion, sum_products
@@ -93,20 +92,18 @@ def transform(
     Each step fuses the product f_n * x**-n, the running sum and the next
     power x**-(n+1) over raw complex components, by ``_hamilton`` and
     ``__add__``'s expressions in their order, and builds one Biquaternion
-    per result: values, term counts and tail bounds are bit-identical to the
-    loop of Biquaternion operations.  A memoized term is read from ``f``'s
-    memo, and ``f.term`` is called only for the others.  As in that loop, a
-    term f_n, a product or a power x**-n (stepped unchecked: it makes the
-    next product inf or NaN) that leaves double range ends the series, and a
-    finite product whose size overflows raises NoConvergenceError.
+    per result: term counts and tail bounds are bit-identical to the loop of
+    Biquaternion operations, and values are up to the sign of exactly-zero
+    parts.  A memoized term is read from ``f``'s memo, and ``f.term`` is
+    called only for the others.  As in that loop, a term f_n, a product or a
+    power x**-n (stepped unchecked: it makes the next product inf or NaN)
+    that leaves double range ends the series, and a finite product whose
+    size overflows raises NoConvergenceError.
 
     At a complex point (x**-1 has a zero vector part) x**-n stays a complex
     number: each term is f_n scaled by it, and each power step is one
     complex product.  Elsewhere a scalar term (zero vector part) scales
-    x**-n, 4 complex products where the Hamilton product takes 16.  The full
-    products differ from these only in the sign of exactly-zero parts, which
-    the sizes ignore and a running sum free of -0.0 parts never shows
-    (+0 + -0 == +0); so an f_0 with a -0.0 part takes the full products.
+    x**-n, 4 complex products where the Hamilton product takes 16.
     """
     _check_limits(eps, max_terms)
     return _series(f, _admit(x, f.radius_hint, "radius hint"), eps, max_terms)
@@ -129,10 +126,8 @@ def _series(f: Sequence, x_inv: Biquaternion, eps: float, max_terms: int) -> Tra
     append, window, bail = ratios.append, _RATIO_WINDOW, _DIVERGENCE_BAIL
     iw, ix, iy, iz = x_inv.w, x_inv.x, x_inv.y, x_inv.z
     qw, qx, qy, qz = iw, ix, iy, iz  # x**-n
-    # both fast paths below need an f_0 free of -0.0 parts: copysign reads each zero part's sign
-    clean = -1.0 not in map(copysign, repeat(1.0), filterfalse(None, first.components()))
     # at a complex point only qw is stepped; qx, qy and qz stay unread
-    scaled = clean and ix == iy == iz == 0
+    scaled = ix == iy == iz == 0
     memo, term = f._cache.get, f.term
     used = 1
 
@@ -152,7 +147,7 @@ def _series(f: Sequence, x_inv: Biquaternion, eps: float, max_terms: int) -> Tra
             ax = p.x * qw
             ay = p.y * qw
             az = p.z * qw
-        elif clean and p.x == p.y == p.z == 0:
+        elif p.x == p.y == p.z == 0:
             aw, ax, ay, az = p.w * qw, p.w * qx, p.w * qy, p.w * qz
         else:
             aw, ax, ay, az = _hamilton(p.w, p.x, p.y, p.z, qw, qx, qy, qz)

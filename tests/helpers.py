@@ -138,7 +138,8 @@ def reference_transform(f: Sequence, x, eps: float = 1e-12, max_terms: int = 409
 
     One product, one sum and one power step per term, each a checked value,
     with ``transform``'s stopping rules.  The fused loop in the library must
-    reproduce its value, term count, tail bound and exceptions bit for bit.
+    reproduce its term count, tail bound and exceptions bit for bit, and its
+    value up to the sign of exactly-zero parts (see :func:`unsigned_zeros`).
     """
     from collections import deque
 
@@ -197,6 +198,14 @@ def reference_transform(f: Sequence, x, eps: float = 1e-12, max_terms: int = 409
         if not math.isinf(r) and r > 1.0:
             raise NoConvergenceError(f"terms still growing after {used} terms")
     return TransformValue(total, used, math.inf)
+
+
+def unsigned_zeros(outcome: tuple) -> tuple:
+    """A ("value", component reprs, ...) outcome with every zero part unsigned:
+    -0.0 + 0.0 is 0.0, and a nonzero part keeps every bit.  Other outcomes pass."""
+    if outcome[0] != "value":
+        return outcome
+    return ("value", tuple(repr(complex(r) + 0j) for r in outcome[1]), *outcome[2:])
 
 
 def reference_solution(rec) -> Sequence:

@@ -9,6 +9,7 @@ import pytest
 
 from biqz import (
     ONE,
+    ZERO,
     Biquaternion,
     LinearRecurrence,
     NoConvergenceError,
@@ -26,10 +27,9 @@ from helpers import comp_dist, rand_biquat, rand_conditioned
 
 
 def _loop(pairs):
-    """The reference: one product and one sum per pair, written out here."""
-    (a0, b0), *rest = pairs
-    total = a0 * b0
-    for a, b in rest:
+    """The reference: one product and one sum per pair from ZERO, written out here."""
+    total = ZERO
+    for a, b in pairs:
         total = total + a * b
     return total
 

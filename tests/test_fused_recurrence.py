@@ -28,6 +28,11 @@ def _reprs(q: Biquaternion) -> tuple[str, ...]:
     return tuple(repr(c) for c in (q.w, q.x, q.y, q.z))
 
 
+def _unsigned(q: Biquaternion) -> tuple[str, ...]:
+    # -0.0 + 0.0 is 0.0: zero parts compare unsigned, nonzero ones bit for bit
+    return tuple(repr(c + 0j) for c in (q.w, q.x, q.y, q.z))
+
+
 def _signed_zeros(rng: random.Random, scale: float = 1.0) -> Biquaternion:
     """A random value with some real or imaginary parts 0.0 or -0.0."""
     parts = [rng.uniform(-scale, scale) for _ in range(8)]
@@ -68,6 +73,14 @@ class TestRandomRelations:
         got, want = rec.solution(), reference_solution(rec)
         for n in range(N_TERMS):
             assert _reprs(got.term(n)) == _reprs(want.term(n)), (seed, n)
+
+    def test_solution_matches_reference_on_nonzero_parts(self, seed, draw):
+        # the step adds products by the negated coefficients, which equal the
+        # subtracted products but in the sign of exactly-zero parts
+        rec = _recurrence(seed, DRAWS[draw])
+        got, want = rec.solution(), reference_solution(rec)
+        for n in range(N_TERMS):
+            assert _unsigned(got.term(n)) == _unsigned(want.term(n)), (seed, n)
 
     def test_rhs_matches_reference(self, seed, draw):
         rec = _recurrence(seed, DRAWS[draw])

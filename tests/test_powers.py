@@ -146,7 +146,7 @@ class TestTrigPowers:
         rng = random.Random(2000)
         combine = {
             "cos_qn": lambda a, b: (a + b) * 0.5,
-            "sin_qn": lambda a, b: (b - a) * 0.5j,
+            "sin_qn": lambda a, b: b * 0.5j - a * 0.5j,
         }[name]
         qs = [rand_biquat(rng, 0.8) for _ in range(5)]
         qs += [Biquaternion(complex(rng.uniform(-1, 1), rng.uniform(-0.4, 0.4))) for _ in range(3)]
