@@ -46,7 +46,12 @@ _NORMAL_MIN = sys.float_info.min  # below it a square has lost significant bits
 
 
 def _coerce_component(value) -> complex:
-    c = complex(value)
+    """The one coercion of an outside scalar into a component, complex(value): ValueError if
+    that is not finite or is an int past double range (named by type: past 4,300 digits repr raises)."""
+    try:
+        c = complex(value)
+    except OverflowError:  # an int past double range
+        raise ValueError(f"non-finite biquaternion component: {type(value).__name__} too large") from None
     if not _isfinite(c):
         raise ValueError(f"non-finite biquaternion component: {value!r}")
     return c
@@ -136,8 +141,7 @@ class Biquaternion:
     def __mul__(self, other):
         if type(other) is not Biquaternion:
             if isinstance(other, _SCALARS):
-                if type(other) not in _SCALARS:
-                    other = complex(other)  # a subclass, e.g. numpy's, may keep its own type
+                other = _coerce_component(other)
                 return _result(self.w * other, self.x * other, self.y * other, self.z * other)
             if not isinstance(other, Biquaternion):
                 return NotImplemented
@@ -146,15 +150,13 @@ class Biquaternion:
     def __rmul__(self, other):
         # scalars commute, so left multiplication by a scalar is componentwise
         if isinstance(other, _SCALARS):
-            if type(other) not in _SCALARS:
-                other = complex(other)  # a subclass, e.g. numpy's, may keep its own type
+            other = _coerce_component(other)
             return _result(other * self.w, other * self.x, other * self.y, other * self.z)
         return NotImplemented
 
     def __truediv__(self, other):
         if isinstance(other, _SCALARS):
-            if type(other) not in _SCALARS:
-                other = complex(other)  # a subclass, e.g. numpy's, may keep its own type
+            other = _coerce_component(other)
             return _result(self.w / other, self.x / other, self.y / other, self.z / other)
         return NotImplemented
 
@@ -351,14 +353,11 @@ k = Biquaternion(0.0, 0.0, 0.0, 1.0)
 
 
 def _embed(value):
+    """A biquaternion as it is, a scalar (bool or subclass too) as its coerced scalar part, else None."""
     if isinstance(value, Biquaternion):
         return value
-    if type(value) in _SCALARS:  # exact types; bool and subclasses take the constructor
-        c = complex(value)  # the constructor's coercion, with its OverflowError
-        if _isfinite(c):
-            return _built(c, 0j, 0j, 0j)
     if isinstance(value, _SCALARS):
-        return Biquaternion(value)  # bool, a subclass, or a non-finite value, which raises
+        return _built(_coerce_component(value), 0j, 0j, 0j)
     return None
 
 

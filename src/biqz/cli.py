@@ -283,16 +283,16 @@ def _run_recurrence_payload(payload: dict, n_terms: int, tol: float, eps: float 
     samples = x_samples if x_samples is not None else _listed(payload, "x_samples", required=False)
     checks = []
     for lit in samples:
-        x = parse(lit).to_complex()
+        x = parse(lit)
         solved = transform_value(rec, x, eps=eps, max_terms=max_terms)
-        series = transform(seq, x, eps=eps, max_terms=max_terms).value
-        rel = _relative((solved - series).component_norm(), series.component_norm())
-        passed = rel <= max(tol, 1e-9)
+        series = transform(seq, x, eps=eps, max_terms=max_terms)
+        rel = _relative((solved - series.value).component_norm(), series.value.component_norm())
+        passed = series.certified and rel <= max(tol, 1e-9)
         checks.append(
             {
                 "x": lit,
                 "transform_value": _value_json(solved),
-                "series_value": _value_json(series),
+                "series_value": _value_json(series.value),
                 "rel_error": rel,
                 "pass": passed,
             }

@@ -133,23 +133,29 @@ def transform_value(
     as x is complex), L(x) the shifting-rule boundary of the initial values
     under the p_m, and G(x) the sum over forcing terms of X[g](x) * Q(x),
     Q(x) = sum q_k * x**k, less the boundary of g under the q_k; the result is
-    (L(x) + G(x)) * P(x)**-1.  After ``transform``'s eps/max_terms checks, x is admitted
-    once, against the largest of roc_estimate(solution, 64) and each X[g]'s radius
-    (entry roc_radius, else radius hint), and every X[g] is read at that one x**-1.
-    A series X[g] (no entry) whose tail bound is not within eps raises NoConvergenceError.
+    (L(x) + G(x)) * P(x)**-1.  After ``transform``'s eps/max_terms checks, x is coerced as
+    ``as_biquaternion(x).to_complex()`` and admitted once, against the largest of
+    roc_estimate(solution, 64) and each X[g]'s radius (entry roc_radius, else radius
+    hint), and every X[g] is read at that one x**-1.  Each power x**m is then taken once;
+    one past double range raises the constructor's ValueError.  A series X[g] (no entry)
+    whose tail bound is not within eps raises NoConvergenceError.
     """
     _check_limits(eps, max_terms)
-    x = x.to_complex() if isinstance(x, Biquaternion) else complex(x)
+    x = as_biquaternion(x).to_complex()
     if rec._radius is None:
         radii = [ft.entry.roc_radius if ft.entry is not None else ft.sequence.radius_hint for ft in rec.forcing]
         rec._radius = max([roc_estimate(rec.solution(), 64), *(r for r in radii if r is not None)])
     y = _admit(x, rec._radius, "solve radius")
+    try:  # each power of x once; where complex ** raises OverflowError, IEEE arithmetic gives inf
+        powers = [x**m for m in range(max(map(len, [rec.coeffs, *(ft.coeffs for ft in rec.forcing)])))]
+    except OverflowError:
+        raise ValueError(f"non-finite biquaternion component: a power of x = {x} leaves double range") from None
 
-    poly = sum([coeff * x**m for m, coeff in enumerate(rec.coeffs)], ZERO)
+    poly = sum([coeff * powers[m] for m, coeff in enumerate(rec.coeffs)], ZERO)
     if not poly.is_invertible():
         raise ZeroDivisorError(f"coefficient polynomial is not invertible at x = {x}")
 
-    boundary = _shift_boundary(rec.initial.__getitem__, rec.coeffs, x)
+    boundary = _shift_boundary(rec.initial.__getitem__, rec.coeffs, powers)
     for ft in rec.forcing:
         if ft.entry is not None:
             value = ft.entry._eval_fn(y)
@@ -157,16 +163,16 @@ def transform_value(
             value, used, tail = _series(ft.sequence, y, eps, max_terms)
             if not tail <= eps:  # an uncertified X[g] would enter the solve unannounced
                 raise NoConvergenceError(f"forcing series uncertified after {used} terms (tail bound {tail:g})")
-        shifted = sum([value * x**k * coeff for k, coeff in enumerate(ft.coeffs)], ZERO)
-        boundary = boundary + (shifted - _shift_boundary(ft.sequence.term, ft.coeffs, x))
+        shifted = sum([value * powers[k] * coeff for k, coeff in enumerate(ft.coeffs)], ZERO)
+        boundary = boundary + (shifted - _shift_boundary(ft.sequence.term, ft.coeffs, powers))
     return boundary * poly.inverse()
 
 
-def _shift_boundary(values, coeffs, x: complex) -> Biquaternion:
-    """sum_k sum_{t<k} values(t) * x**(k-t) * coeffs[k]: what the shifting rule
-    X[v_{.+k}](x) = X[v](x)*x**k - sum_{t<k} v_t * x**(k-t) leaves behind when
-    the shift by k carries the right coefficient coeffs[k]."""
-    return sum([values(t) * x ** (k - t) * coeff
+def _shift_boundary(values, coeffs, powers: list[complex]) -> Biquaternion:
+    """sum_k sum_{t<k} values(t) * x**(k-t) * coeffs[k], given powers[m] = x**m: what
+    the shifting rule X[v_{.+k}](x) = X[v](x)*x**k - sum_{t<k} v_t * x**(k-t) leaves
+    behind when the shift by k carries the right coefficient coeffs[k]."""
+    return sum([values(t) * powers[k - t] * coeff
                 for k, coeff in enumerate(coeffs) for t in range(k)], ZERO)
 
 

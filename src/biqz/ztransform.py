@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 from .algebra import ONE, Biquaternion, _admit, _hamilton, _result, as_biquaternion, sum_products
 from .errors import DivergentSeriesError, NoConvergenceError
-from .sequences import Sequence, _stepper, advance, delay
+from .sequences import Sequence, _stepper
 
 # window length for the geometric-tail ratio test
 _RATIO_WINDOW = 8
@@ -333,21 +333,3 @@ def convolve(f: Sequence, g: Sequence) -> Sequence:
 
     return _combined(term, f, g, "convolve")
 
-
-__all__ = [
-    "TransformValue",
-    "geometric_sum",
-    "geometric_remainder",
-    "transform",
-    "roc_estimate",
-    "linear_left",
-    "linear_right",
-    "linear_two_sided",
-    "geometric_scale",
-    "advance_transform",
-    "delay_transform",
-    "index_scale_transform",
-    "convolve",
-    "advance",
-    "delay",
-]

@@ -4,9 +4,14 @@ from importlib import resources
 
 import pytest
 
-from biqz import ONE, ZERO, Biquaternion, LiteralParseError, ZeroDivisorError, exp, parse
+from biqz import ONE, ZERO, Biquaternion, LiteralParseError, ZeroDivisorError, as_biquaternion, exp, parse
+from biqz import catalog
 from biqz.algebra import i, k
-from biqz.cli import main
+from biqz.cli import load_bundled_spec, main
+from biqz.errors import OutsideROCError
+from biqz.recurrence import ForcingTerm, LinearRecurrence, transform_value
+from biqz.sequences import Sequence
+from biqz.ztransform import transform
 
 from helpers import comp_dist
 
@@ -55,6 +60,44 @@ class TestMalformedSpecs:
         assert "JSON object" in report["errors"][0]["message"]
 
 
+BIG = 10**400  # an int past double range, where complex(BIG) raises OverflowError
+NON_FINITE = "non-finite biquaternion component"
+HALF = LinearRecurrence([-0.5, 1], [1])  # f(n+1) = 0.5 f(n), f(0) = 1
+
+ENTRY_POINTS = {
+    "constructor": lambda n: Biquaternion(n),
+    "as_biquaternion": lambda n: as_biquaternion(n),
+    "add": lambda n: ONE + n,
+    "mul": lambda n: ONE * n,
+    "rmul": lambda n: n * ONE,
+    "truediv": lambda n: ONE / n,
+    "transform": lambda n: transform(Sequence.constant(1), n),
+    "catalog.build": lambda n: catalog.build("pow_p", {"p": n}),
+    "LinearRecurrence": lambda n: LinearRecurrence([n, 1], [1]),
+    "transform_value": lambda n: transform_value(HALF, n),
+}
+
+
+def _catalog_param_paths(payload, path=()):
+    """Paths to every value inside a catalog descriptor's "params" object."""
+    if isinstance(payload, dict):
+        if isinstance(payload.get("params"), dict):
+            yield from (path + ("params", key) for key in payload["params"])
+        for key, value in payload.items():
+            yield from _catalog_param_paths(value, path + (key,))
+    elif isinstance(payload, list):
+        for index, value in enumerate(payload):
+            yield from _catalog_param_paths(value, path + (index,))
+
+
+def _strict_report(capsys, code_expected, argv):
+    code = main(argv)
+    captured = capsys.readouterr()
+    report = json.loads(captured.out, parse_constant=lambda t: pytest.fail(f"non-JSON token {t}"))
+    assert (code, captured.err) == (code_expected, "")
+    return report
+
+
 class TestDoubleRange:
     def test_weight_past_double_range_is_a_domain_error(self, capsys, tmp_path):
         forcing = {"catalog": "binom", "params": {"m": 400, "q": "0.5"}, "coeffs": ["1"]}
@@ -74,6 +117,63 @@ class TestDoubleRange:
         report = json.loads(capsys.readouterr().out)
         assert code == 2
         assert report["errors"][0]["name"] == "Value"
+
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    def test_entry_point_raises_the_values_error(self, entry):
+        with pytest.raises(ValueError, match=NON_FINITE):
+            ENTRY_POINTS[entry](BIG)
+
+    @pytest.mark.parametrize("entry", ["constructor", "mul", "truediv", "catalog.build"])
+    def test_past_the_digit_limit_the_same_error(self, entry):
+        with pytest.raises(ValueError, match=NON_FINITE):
+            ENTRY_POINTS[entry](10**5000)
+
+    @pytest.mark.parametrize("name", ["example1", "example2", "example3", "example4", "example5"])
+    def test_spec_parameter_past_double_range_exits_2(self, name, capsys, tmp_path):
+        base = load_bundled_spec(name)
+        paths = list(_catalog_param_paths(base))
+        assert paths
+        for path in paths:
+            payload = json.loads(json.dumps(base))
+            target = payload
+            for key in path[:-1]:
+                target = target[key]
+            target[path[-1]] = 10**399  # a 400-digit JSON integer
+            spec = tmp_path / "spec.json"
+            spec.write_text(json.dumps(payload))
+            report = _strict_report(capsys, 2, ["recurrence", str(spec), "--json"])
+            assert report["errors"][0]["name"] == "Value", path
+
+
+class TestSolvePowers:
+    def test_power_past_double_range_raises_the_values_error(self):
+        rec = LinearRecurrence([0.25, -1, 1], [1, 0.5])  # f(n+2) - f(n+1) + 0.25 f(n) = 0
+        with pytest.raises(ValueError, match=NON_FINITE):
+            transform_value(rec, 1e160)
+
+    def test_first_order_solve_at_a_huge_point_still_returns(self):
+        assert transform_value(HALF, 1e200) == ONE
+
+    def test_a_radius_refuses_before_the_powers(self):
+        hinted = Sequence(lambda n: ZERO, radius_hint=1e170)
+        rec = LinearRecurrence([0.25, -1, 1], [1, 0.5], [ForcingTerm(hinted, [1, 1, 1])])
+        with pytest.raises(OutsideROCError):
+            transform_value(rec, 1e160)
+
+    def test_string_point_is_refused(self):
+        with pytest.raises(TypeError):
+            transform_value(HALF, "2")
+
+    def test_cli_sample_point_past_double_range_exits_2(self, capsys):
+        spec = str(resources.files("biqz").joinpath("specs", "example1.json"))
+        report = _strict_report(capsys, 2, ["recurrence", spec, "--x-samples", "1e160", "--json"])
+        assert report["errors"][0]["name"] == "Value"
+
+    def test_uncertified_sample_series_fails_its_check(self, capsys):
+        spec = str(resources.files("biqz").joinpath("specs", "example1.json"))
+        report = _strict_report(capsys, 1, ["recurrence", spec, "--max-terms", "5", "--x-samples", "1e6", "--json"])
+        (check,) = report["results"]["transform_checks"]
+        assert check["pass"] is False and check["rel_error"] < 1e-9
 
 
 class TestLongVerification:
