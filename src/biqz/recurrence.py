@@ -23,7 +23,7 @@ from .algebra import ZERO, Biquaternion, _admit, _gap, _hamilton, _result, _sum_
 from .catalog import CatalogEntry
 from .errors import NoConvergenceError, ZeroDivisorError
 from .sequences import Sequence, _stepper
-from .ztransform import DEFAULT_EPS, DEFAULT_MAX_TERMS, _check_limits, _series, roc_estimate
+from .ztransform import DEFAULT_EPS, DEFAULT_MAX_TERMS, _certified, _check_limits, _shift_boundary, roc_estimate
 
 
 class ForcingTerm:
@@ -155,25 +155,15 @@ def transform_value(
     if not poly.is_invertible():
         raise ZeroDivisorError(f"coefficient polynomial is not invertible at x = {x}")
 
-    boundary = _shift_boundary(rec.initial.__getitem__, rec.coeffs, powers)
+    boundary = _shift_boundary(rec.initial.__getitem__, enumerate(rec.coeffs), powers)
     for ft in rec.forcing:
         if ft.entry is not None:
             value = ft.entry._eval_fn(y)
         else:
-            value, used, tail = _series(ft.sequence, y, eps, max_terms)
-            if not tail <= eps:  # an uncertified X[g] would enter the solve unannounced
-                raise NoConvergenceError(f"forcing series uncertified after {used} terms (tail bound {tail:g})")
+            value = _certified(ft.sequence, y, eps, max_terms, "forcing series")
         shifted = sum([value * powers[k] * coeff for k, coeff in enumerate(ft.coeffs)], ZERO)
-        boundary = boundary + (shifted - _shift_boundary(ft.sequence.term, ft.coeffs, powers))
+        boundary = boundary + (shifted - _shift_boundary(ft.sequence.term, enumerate(ft.coeffs), powers))
     return boundary * poly.inverse()
-
-
-def _shift_boundary(values, coeffs, powers: list[complex]) -> Biquaternion:
-    """sum_k sum_{t<k} values(t) * x**(k-t) * coeffs[k], given powers[m] = x**m: what
-    the shifting rule X[v_{.+k}](x) = X[v](x)*x**k - sum_{t<k} v_t * x**(k-t) leaves
-    behind when the shift by k carries the right coefficient coeffs[k]."""
-    return sum([values(t) * powers[k - t] * coeff
-                for k, coeff in enumerate(coeffs) for t in range(k)], ZERO)
 
 
 class VerificationReport(NamedTuple):

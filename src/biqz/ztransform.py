@@ -19,7 +19,7 @@ from cmath import isfinite
 from math import hypot, inf, isinf
 from typing import NamedTuple
 
-from .algebra import ONE, Biquaternion, _admit, _hamilton, _result, as_biquaternion, sum_products
+from .algebra import ONE, ZERO, Biquaternion, _admit, _hamilton, _result, as_biquaternion, sum_products
 from .errors import DivergentSeriesError, NoConvergenceError
 from .sequences import Sequence, _stepper
 
@@ -260,28 +260,42 @@ def advance_transform(
 ) -> Biquaternion:
     """Transform of n -> f_{n+k} at x: X[f](x)*x**k - sum_{n<k} f_n * x**(k-n).
 
-    All powers of x multiply on the right.  Equals a direct series evaluation
-    of the shifted sequence.
+    All powers of x multiply on the right.  x is admitted once, as by
+    :func:`transform`, and an uncertified X[f] raises NoConvergenceError.
     """
     if k <= 0:
         raise ValueError("shift must be positive")
-    x = as_biquaternion(x)
-    base = transform(f, x, eps=eps, max_terms=max_terms).value
-    out = base * x**k
-    for n in range(k):
-        out = out - f.term(n) * x ** (k - n)
-    return out
+    _check_limits(eps, max_terms)
+    value = _certified(f, _admit(x, f.radius_hint, "radius hint"), eps, max_terms, "series")
+    powers = [as_biquaternion(x) ** m for m in range(k + 1)]
+    return value * powers[k] - _shift_boundary(f.term, [(k, ONE)], powers)
 
 
 def delay_transform(
     f: Sequence, k: int, x, eps: float = DEFAULT_EPS, max_terms: int = DEFAULT_MAX_TERMS
 ) -> Biquaternion:
-    """Transform of the zero-padded delay n -> f_{n-k} at x: X[f](x) * x**-k, by transform's x**-1."""
+    """Transform of the zero-padded delay n -> f_{n-k} at x: X[f](x) * x**-k, by
+    transform's x**-1; an uncertified X[f] raises NoConvergenceError."""
     if k <= 0:
         raise ValueError("shift must be positive")
     _check_limits(eps, max_terms)
     y = _admit(x, f.radius_hint, "radius hint")
-    return _series(f, y, eps, max_terms).value * y**k
+    return _certified(f, y, eps, max_terms, "series") * y**k
+
+
+def _certified(f: Sequence, y: Biquaternion, eps: float, max_terms: int, label: str) -> Biquaternion:
+    """X[f] at an admitted point, given y = x**-1; NoConvergenceError unless its tail is within eps."""
+    value, used, tail = _series(f, y, eps, max_terms)
+    if not tail <= eps:  # an uncertified X[f] would enter a rule unannounced
+        raise NoConvergenceError(f"{label} uncertified after {used} terms (tail bound {tail:g})")
+    return value
+
+
+def _shift_boundary(values, shifts, powers: list) -> Biquaternion:
+    """sum over (k, c) in shifts of sum_{t<k} values(t) * x**(k-t) * c, given powers[m] = x**m:
+    what the shifting rule X[v_{.+k}](x) = X[v](x)*x**k - sum_{t<k} v_t * x**(k-t) leaves
+    behind when the shift by k carries the right coefficient c."""
+    return sum([values(t) * powers[k - t] * coeff for k, coeff in shifts for t in range(k)], ZERO)
 
 
 def index_scale_transform(
@@ -289,9 +303,10 @@ def index_scale_transform(
 ) -> Biquaternion:
     """Transform of n -> n*f_n at x, summed as its own series by :func:`transform`.
 
-    At complex x this is -x * d/dx X[f](x), the index-scaling rule; the
-    weighted series keeps f's radius hint and its certified tail, and takes
-    biquaternion points as well.
+    At complex x this is -x * d/dx X[f](x), the index-scaling rule; the weighted
+    series keeps f's radius hint and takes biquaternion points as well.  It returns
+    the bare value, certified or not: an all-zero series, uncertified by design,
+    gives 0 (ROADMAP item 3 gives the property transforms a TransformValue).
     """
     weighted = Sequence(lambda n: f.term(n) * n, radius_hint=f.radius_hint, name="index_scale")
     return transform(weighted, x, eps=eps, max_terms=max_terms).value
