@@ -123,6 +123,8 @@ class Sequence:
     """A deterministic map from index n >= 0 to a biquaternion.
 
     Terms are memoized, so repeated evaluation at the same index returns the identical value.
+    A view, ``Sequence(s)`` or ``Sequence(s.term)`` of a ``Sequence`` s (not of a subclass),
+    shares s's term function and memo but keeps its own ``radius_hint`` and ``name``.
     Term functions may hold stepping state (a :func:`_stepper` for powers, :func:`stepped` and
     recurrence solutions) yet give each index the same value in any order; nothing is locked, so
     threads sharing a sequence may compute a term twice (equal, not identical).  ``radius_hint``
@@ -137,8 +139,13 @@ class Sequence:
     __slots__ = ("_fn", "_cache", "radius_hint", "name", "ratio")
 
     def __init__(self, fn, radius_hint: float | None = None, name: str | None = None):
+        source = fn if type(fn) is Sequence else getattr(fn, "__self__", None)
+        if type(source) is Sequence and (source is fn or getattr(fn, "__func__", None) is Sequence.term):
+            fn, cache = source._fn, source._cache  # a view: one memo per term function
+        else:
+            cache = {}
         self._fn = fn
-        self._cache: dict[int, Biquaternion] = {}  # n -> term(n); transform reads it directly
+        self._cache: dict[int, Biquaternion] = cache  # n -> term(n); transform reads and fills it
         self.radius_hint = radius_hint
         self.name = name
         self.ratio: Biquaternion | None = None

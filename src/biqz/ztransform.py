@@ -94,8 +94,9 @@ def transform(
     ``__add__``'s expressions in their order, and builds one Biquaternion
     per result: term counts and tail bounds are bit-identical to the loop of
     Biquaternion operations, and values are up to the sign of exactly-zero
-    parts.  A memoized term is read from ``f``'s memo, and ``f.term`` is
-    called only for the others.  As in that loop, a term f_n, a product or a
+    parts.  A term is read from ``f``'s memo, and a missing one is computed
+    by ``f``'s term function and stored there as ``f.term`` would store it,
+    without calling ``f.term``.  As in that loop, a term f_n, a product or a
     power x**-n (stepped unchecked: it makes the next product inf or NaN)
     that leaves double range ends the series, and a finite product whose
     size overflows raises NoConvergenceError.
@@ -128,19 +129,22 @@ def _series(f: Sequence, x_inv: Biquaternion, eps: float, max_terms: int) -> Tra
     qw, qx, qy, qz = iw, ix, iy, iz  # x**-n
     # at a complex point only qw is stepped; qx, qy and qz stay unread
     scaled = ix == iy == iz == 0
-    memo, term = f._cache.get, f.term
+    cache, memo, fn = f._cache, f._cache.get, f._fn
     used = 1
 
     for n in range(1, max_terms):
         p = memo(n)
         if p is None:
             try:
-                p = term(n)
+                p = fn(n)  # as Sequence.term fills its memo, without its index check
+                if type(p) is not Biquaternion:
+                    p = as_biquaternion(p)
             except (OverflowError, ValueError, NoConvergenceError):
                 # f_n itself left double range even though f_n * x**-n may not
                 # (a recurrence solution reports that as NoConvergenceError);
                 # settle for whatever certification the window supports
                 break
+            cache[n] = p
         # the term f_n * x**-n
         if scaled:
             aw = p.w * qw
