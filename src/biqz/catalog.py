@@ -53,7 +53,7 @@ import math
 import random
 from typing import Callable, NamedTuple
 
-from .algebra import ONE, Biquaternion, _admit, _result, as_biquaternion, exp, root_magnitudes
+from .algebra import ONE, Biquaternion, _admit, _built, as_biquaternion, exp, root_magnitudes
 from .parsing import parse
 from .sequences import Sequence, _power_steps, _values, stepped
 
@@ -140,8 +140,9 @@ def n_pow_p(p, as_printed: bool = False) -> CatalogEntry:
 
 
 def _trig_entry(name: str, q, join) -> CatalogEntry:
-    # join builds one value from the components of e**n and f**n for a term, of
-    # G(e) and G(f) for the closed form, halving each part first: a finite join stays finite
+    # join builds one value, unchecked, from the finite components of e**n and f**n for a
+    # term, of G(e) and G(f) for the closed form, halving each part first: each half of a
+    # finite part is at most half the largest double, so a sum or difference of two is finite
     q = as_biquaternion(q)
     e, f = exp(q * 1j), exp(q * -1j)
     rho_e, rho_f = root_magnitudes(e)[0], root_magnitudes(f)[0]
@@ -159,12 +160,12 @@ def _trig_entry(name: str, q, join) -> CatalogEntry:
 
 def _half_sum(a, b) -> Biquaternion:
     (aw, ax, ay, az), (bw, bx, by, bz) = a, b
-    return _result(aw * 0.5 + bw * 0.5, ax * 0.5 + bx * 0.5, ay * 0.5 + by * 0.5, az * 0.5 + bz * 0.5)
+    return _built(aw * 0.5 + bw * 0.5, ax * 0.5 + bx * 0.5, ay * 0.5 + by * 0.5, az * 0.5 + bz * 0.5)
 
 
 def _half_i_difference(a, b) -> Biquaternion:
     (aw, ax, ay, az), (bw, bx, by, bz) = a, b
-    return _result(bw * 0.5j - aw * 0.5j, bx * 0.5j - ax * 0.5j, by * 0.5j - ay * 0.5j, bz * 0.5j - az * 0.5j)
+    return _built(bw * 0.5j - aw * 0.5j, bx * 0.5j - ax * 0.5j, by * 0.5j - ay * 0.5j, bz * 0.5j - az * 0.5j)
 
 
 def cos_qn(q) -> CatalogEntry:

@@ -84,7 +84,7 @@ class LinearRecurrence:
 
             def step(k: int, window: tuple[Biquaternion, ...]) -> tuple[Biquaternion, ...]:
                 try:
-                    acc, _ = _sum_pieces(self._forcing(k - 1))
+                    acc = _sum_pieces(self._forcing(k - 1))[0] if self.forcing else (0j, 0j, 0j, 0j)
                     (w, x, y, z), _ = _sum_pieces(zip(window, negated), acc)
                     return window[1:] + (_result(*_hamilton(w, x, y, z, iw, ix, iy, iz)),)
                 except ValueError as exc:  # a component left double range
@@ -106,8 +106,10 @@ class LinearRecurrence:
         piece that leaves double range makes the residual inf or NaN.
         """
         lhs, scale = _sum_pieces(zip(map(f.term, range(n, n + len(self.coeffs))), self.coeffs), scale=1.0)
-        rhs, scale = _sum_pieces(self._forcing(n), scale=scale)
-        dw, dx, dy, dz = map(complex.__sub__, lhs, rhs)
+        if self.forcing:  # unforced, rhs is 0j and lhs - 0j is lhs
+            rhs, scale = _sum_pieces(self._forcing(n), scale=scale)
+            lhs = map(complex.__sub__, lhs, rhs)
+        dw, dx, dy, dz = lhs
         return math.hypot(dw.real, dw.imag, dx.real, dx.imag, dy.real, dy.imag, dz.real, dz.imag), scale
 
 

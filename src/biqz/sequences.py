@@ -4,17 +4,18 @@ Every forward-stepped term, reached from the one before, goes through
 :func:`_stepper`, which keeps the last index and its state and restarts for an
 earlier one.  Its step rules are the power core :func:`_power_steps` (the raw
 components of p**n, by the three-term recurrence
-p**(k+1) = 2*p0*p**k - cns(p)*p**(k-1) where p's two roots lie apart and by
-``_hamilton`` elsewhere; :meth:`Sequence.geometric` builds one value per term
-from it, the catalog's weighted rows one times a scalar weight, its trig rows
-one from two cores), the varying factors of :func:`stepped`, the geometric
-recursion of ``ztransform.convolve`` and the window of the last M terms of a
+p**(k+1) = 2*p0*p**k - cns(p)*p**(k-1) where p's two roots lie apart, by one
+complex product for a complex scalar p and by ``_hamilton`` elsewhere;
+:meth:`Sequence.geometric` builds one value per term from it, the catalog's
+weighted rows one times a scalar weight, its trig rows one from two cores),
+the varying factors of :func:`stepped`, the geometric recursion of
+``ztransform.convolve`` and the window of the last M terms of a
 ``recurrence.LinearRecurrence`` solution.
 """
 from __future__ import annotations
 
 from cmath import isfinite
-from math import inf
+from math import copysign, inf
 from typing import Callable, TypeVar
 
 from .algebra import ONE, ZERO, Biquaternion, _built, _hamilton, _result, as_biquaternion, root_magnitudes
@@ -74,15 +75,19 @@ def _power_steps(p: Biquaternion, rho: float) -> Callable[[int], tuple[tuple, tu
     rho > 0), each component steps as c_(k+1) = 2*p0*c_k - cns(p)*c_(k-1):
     8 complex products, against 16 for a Hamilton product.  p**1, and every
     power of a zero ratio, a complex scalar or a nilpotent or near-defective
-    vector part, step from ``ONE``'s components by ``algebra._hamilton``,
-    bit-identical to ``stepped(ONE, lambda _: p)``.  A non-finite three-term
-    step is redone as the product p**(n-1)*p, which raises only where it
-    leaves double range too, so an overflow raises the product's ValueError at
-    the product's index.
+    vector part, step from ``ONE``'s components as the product, bit-identical
+    to ``stepped(ONE, lambda _: p)``: a complex scalar (a vector part of six
+    +0.0s) as (w*p0, 0j, 0j, 0j), one complex product, and the rest by
+    ``algebra._hamilton``.  A non-finite three-term or scalar step is redone
+    as the product p**(n-1)*p, which raises only where it leaves double range
+    too, so an overflow raises the product's ValueError at the product's index.
     """
     pw, px, py, pz = p.w, p.x, p.y, p.z
     apart = rho > 0.0 and 2.0 * abs(p.vec_abs()) >= rho * _ROOTS_APART
     a, b = 2.0 * pw, p.complex_norm_sq()
+    # a vector part of six +0.0s keeps every power's at +0.0, where the Hamilton step is w*pw
+    # minus +0.0s and its zero parts sum to +0.0; a -0.0 in it can flip a zero part's sign
+    scalar = all(v == 0.0 and copysign(1.0, v) > 0.0 for c in (px, py, pz) for v in (c.real, c.imag))
 
     def step(k: int, state: tuple) -> tuple:
         now, before = state
@@ -93,6 +98,10 @@ def _power_steps(p: Biquaternion, rho: float) -> Callable[[int], tuple[tuple, tu
             if isfinite(nw) and isfinite(nx) and isfinite(ny) and isfinite(nz):
                 return (nw, nx, ny, nz), now
             # a*c_(k-1) can overflow a step before p**k does: redo it as the product
+        elif scalar:
+            nw = w * pw
+            if isfinite(nw):
+                return (nw, 0j, 0j, 0j), now
         nxt = _hamilton(w, x, y, z, pw, px, py, pz)
         if not (isfinite(nxt[0]) and isfinite(nxt[1]) and isfinite(nxt[2]) and isfinite(nxt[3])):
             _result(*nxt)  # raises the constructor's ValueError
