@@ -142,9 +142,11 @@ def n_pow_p(p, as_printed: bool = False) -> CatalogEntry:
 def _trig_entry(name: str, q, join) -> CatalogEntry:
     # join builds one value, unchecked, from the finite components of e**n and f**n for a
     # term, of G(e) and G(f) for the closed form, halving each part first: each half of a
-    # finite part is at most half the largest double, so a sum or difference of two is finite
+    # finite part is at most half the largest double, so a sum or difference of two is finite.
+    # + 0.0 makes every zero part of e and f +0.0 (q * -1j leaves -0.0s), so the powers of a
+    # complex-scalar q step in one complex product, not by _hamilton
     q = as_biquaternion(q)
-    e, f = exp(q * 1j), exp(q * -1j)
+    e, f = exp(q * 1j) + 0.0, exp(q * -1j) + 0.0
     rho_e, rho_f = root_magnitudes(e)[0], root_magnitudes(f)[0]
     e_pow, f_pow = _power_steps(e, rho_e), _power_steps(f, rho_f)
 

@@ -30,7 +30,7 @@ from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 
 from . import __version__, catalog
-from .algebra import ZERO, Biquaternion, _admit, _gap, root_magnitudes
+from .algebra import ZERO, Biquaternion, _admit, _coerce_component, _gap, _hamilton, _result, root_magnitudes
 from .errors import BiqzError, LiteralParseError
 from .parsing import format_literal, parse
 from .recurrence import (
@@ -223,6 +223,10 @@ def _listed(obj: dict, key: str, required: bool = True) -> list:
 
 
 def _candidate_sequence(desc, key: str) -> Sequence:
+    """A catalog row's sequence, or the sum of ``polynomial`` pieces coeff * n**degree
+    and then ``geometric`` pieces coeff * ratio**(n - delay), n >= delay: summed from 0j
+    over raw components as ``*`` and ``+`` sum them, one value built per term.  Where a
+    piece raises or the sum is not finite, the sum over checked values raises the first error."""
     desc = _shaped(desc, dict, key)
     if "catalog" in desc:
         return catalog.build(desc["catalog"], _shaped(desc.get("params", {}), dict, "params")).sequence
@@ -235,7 +239,7 @@ def _candidate_sequence(desc, key: str) -> Sequence:
     if not poly and not geos:
         raise ValueError("candidate descriptor needs 'catalog', 'polynomial' or 'geometric'")
 
-    def term(n: int) -> Biquaternion:
+    def value(n: int) -> Biquaternion:  # every piece and partial sum a checked value
         acc = ZERO
         for degree, coeff in enumerate(poly):
             acc = acc + coeff * (n**degree)
@@ -243,6 +247,21 @@ def _candidate_sequence(desc, key: str) -> Sequence:
             if n >= dly:
                 acc = acc + coeff * powers.term(n - dly)
         return acc
+
+    def term(n: int) -> Biquaternion:
+        w = x = y = z = 0j
+        try:
+            for degree, coeff in enumerate(poly):
+                c = _coerce_component(n**degree)
+                w, x, y, z = w + coeff.w * c, x + coeff.x * c, y + coeff.y * c, z + coeff.z * c
+            for coeff, powers, dly in geos:
+                if n >= dly:
+                    p = powers.term(n - dly)
+                    pw, px, py, pz = _hamilton(coeff.w, coeff.x, coeff.y, coeff.z, p.w, p.x, p.y, p.z)
+                    w, x, y, z = w + pw, x + px, y + py, z + pz
+            return _result(w, x, y, z)
+        except ValueError:  # a non-finite part stays so through the sums: value(n) raises too
+            return value(n)
 
     return Sequence(term, name="candidate")
 

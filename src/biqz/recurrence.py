@@ -12,7 +12,9 @@ X[f_{.+m}](x) = X[f](x)*x**m - sum_{t<m} f_t * x**(m-t).
 The iteration and the relation check step raw complex components by
 ``_hamilton`` and ``_sum_pieces``, building at most one value per term; the
 iteration steps its window of the last M terms through ``sequences._stepper``,
-the primitive behind every forward-stepped sequence.
+the primitive behind every forward-stepped sequence.  A forced relation sums
+its right side once per base index and keeps it: the iteration, ``rhs`` and
+``identity_gap`` read that one sum.
 """
 from __future__ import annotations
 
@@ -61,20 +63,31 @@ class LinearRecurrence:
         self.forcing = list(forcing)
         self._solution: Sequence | None = None
         self._radius: float | None = None  # transform_value's solve radius, surveyed once
+        self._sides: dict[int, tuple[tuple, float]] = {}  # n -> _side(n)
 
     def _forcing(self, n: int) -> list[tuple[Biquaternion, Biquaternion]]:
         """The (g_{n+k}, q_k) pairs of the relation's right side, in order."""
         return [(ft.sequence.term(n + k), coeff)
                 for ft in self.forcing for k, coeff in enumerate(ft.coeffs)]
 
+    def _side(self, n: int) -> tuple[tuple, float]:
+        """(components, largest piece component norm or -inf) of the right side at base
+        index n, unchecked: summed on first use and kept; nothing is kept where a term raises."""
+        side = self._sides.get(n)
+        if side is None:
+            side = self._sides[n] = _sum_pieces(self._forcing(n), scale=-math.inf)
+        return side
+
     def rhs(self, n: int) -> Biquaternion:
-        return _result(*_sum_pieces(self._forcing(n))[0])
+        """The right side at base index n, built from its one kept sum."""
+        return _result(*self._side(n)[0])
 
     def solution(self) -> Sequence:
         """The forward iteration as a lazily extended sequence: each term is
         (rhs - sum_{m<M} f_{base+m} * p_m) * p_M**-1, built once from raw
         components bit-identical to those Biquaternion operations up to the
-        sign of exactly-zero parts, as rhs + f_{base+m} * (-p_m).  The window
+        sign of exactly-zero parts, as rhs + f_{base+m} * (-p_m), with rhs the
+        kept ``_side`` that ``identity_gap`` reads too.  The window
         (f_k, ..., f_{k+M-1}) steps through ``sequences._stepper`` from the
         initial values, and a term n >= M is the last entry of window n-M+1."""
         if self._solution is None:
@@ -84,7 +97,7 @@ class LinearRecurrence:
 
             def step(k: int, window: tuple[Biquaternion, ...]) -> tuple[Biquaternion, ...]:
                 try:
-                    acc = _sum_pieces(self._forcing(k - 1))[0] if self.forcing else (0j, 0j, 0j, 0j)
+                    acc = self._side(k - 1)[0] if self.forcing else (0j, 0j, 0j, 0j)
                     (w, x, y, z), _ = _sum_pieces(zip(window, negated), acc)
                     return window[1:] + (_result(*_hamilton(w, x, y, z, iw, ix, iy, iz)),)
                 except ValueError as exc:  # a component left double range
@@ -103,11 +116,14 @@ class LinearRecurrence:
         The scale is max(1, largest component norm among the identity's
         terms), so relative errors stay meaningful for geometrically growing
         solutions, including zero-divisor pieces whose real gauge is 0.  A
-        piece that leaves double range makes the residual inf or NaN.
+        piece that leaves double range makes the residual inf or NaN.  The
+        right side is the kept ``_side(n)`` the solution step reads too.
         """
         lhs, scale = _sum_pieces(zip(map(f.term, range(n, n + len(self.coeffs))), self.coeffs), scale=1.0)
         if self.forcing:  # unforced, rhs is 0j and lhs - 0j is lhs
-            rhs, scale = _sum_pieces(self._forcing(n), scale=scale)
+            rhs, size = self._side(n)
+            if size > scale:  # as _sum_pieces folds sizes: a NaN never replaces the scale
+                scale = size
             lhs = map(complex.__sub__, lhs, rhs)
         dw, dx, dy, dz = lhs
         return math.hypot(dw.real, dw.imag, dx.real, dx.imag, dy.real, dy.imag, dz.real, dz.imag), scale
