@@ -163,13 +163,17 @@ class Biquaternion:
     def __pow__(self, n):
         if not isinstance(n, int) or n < 0:
             raise ValueError("only nonnegative integer powers are defined")
-        result = ONE
+        if not n:
+            return ONE
         base = self
-        while n:
+        while not n & 1:  # square up to the lowest set bit, the product's first factor
+            base = base * base
+            n >>= 1
+        result = base
+        while n := n >> 1:
+            base = base * base
             if n & 1:
                 result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
         return result
 
     def __eq__(self, other):
@@ -325,12 +329,19 @@ def _hamilton(pw, px, py, pz, qw, qx, qy, qz) -> tuple[complex, complex, complex
 def _sum_pieces(pairs, acc=(0j, 0j, 0j, 0j), scale=None):
     """((w, x, y, z), max(scale, each piece's component norm) if a scale is
     given): acc plus each piece term * coeff in turn, by :func:`_hamilton` and
-    ``__add__``'s expressions in their order.  A difference adds the products
+    ``__add__``'s expressions in their order.  A coeff whose vector part is
+    exactly zero scales the term's four components, 4 complex products where
+    the Hamilton product takes 16, equal to it but in the sign of exactly-zero
+    parts (inf and NaN land where they would).  A difference adds the products
     by negated coefficients, equal to the subtracted products but in the sign
     of exactly-zero parts.  Unchecked, like :func:`_hamilton`."""
     w, x, y, z = acc
     for p, q in pairs:
-        aw, ax, ay, az = _hamilton(p.w, p.x, p.y, p.z, q.w, q.x, q.y, q.z)
+        if q.x or q.y or q.z:  # a truth test: cheaper than == 0 for the generic coeff
+            aw, ax, ay, az = _hamilton(p.w, p.x, p.y, p.z, q.w, q.x, q.y, q.z)
+        else:
+            c = q.w
+            aw, ax, ay, az = p.w * c, p.x * c, p.y * c, p.z * c
         if scale is not None:
             size = math.hypot(aw.real, aw.imag, ax.real, ax.imag, ay.real, ay.imag, az.real, az.imag)
             if size > scale:  # as max(): a NaN size never replaces the scale
@@ -381,9 +392,9 @@ def isclose(p, q, rel_tol: float = 1e-9, abs_tol: float = 0.0) -> bool:
 def sum_products(pairs) -> Biquaternion:
     """a0*b0 + a1*b1 + ... over one or more (a, b) pairs of biquaternions.
 
-    Bit-identical to ``total = ZERO; total = total + a*b`` for each pair, so
-    to the sum from the first product up to the sign of exactly-zero parts;
-    an overflow raises the constructor's ValueError."""
+    Equal to ``total = ZERO; total = total + a*b`` for each pair, and to the
+    sum from the first product, up to the sign of exactly-zero parts; an
+    overflow raises the constructor's ValueError."""
     pairs = list(pairs)
     if not pairs:
         raise ValueError("sum_products needs at least one pair")

@@ -225,8 +225,11 @@ def _listed(obj: dict, key: str, required: bool = True) -> list:
 def _candidate_sequence(desc, key: str) -> Sequence:
     """A catalog row's sequence, or the sum of ``polynomial`` pieces coeff * n**degree
     and then ``geometric`` pieces coeff * ratio**(n - delay), n >= delay: summed from 0j
-    over raw components as ``*`` and ``+`` sum them, one value built per term.  Where a
-    piece raises or the sum is not finite, the sum over checked values raises the first error."""
+    over raw components as ``*`` and ``+`` sum them, one value built per term.  A coeff
+    whose vector part is exactly zero scales the power's four components, 4 complex
+    products where the Hamilton product takes 16, equal to it but in the sign of
+    exactly-zero parts.  Where a piece raises or the sum is not finite, the sum over
+    checked values raises the first error."""
     desc = _shaped(desc, dict, key)
     if "catalog" in desc:
         return catalog.build(desc["catalog"], _shaped(desc.get("params", {}), dict, "params")).sequence
@@ -257,7 +260,11 @@ def _candidate_sequence(desc, key: str) -> Sequence:
             for coeff, powers, dly in geos:
                 if n >= dly:
                     p = powers.term(n - dly)
-                    pw, px, py, pz = _hamilton(coeff.w, coeff.x, coeff.y, coeff.z, p.w, p.x, p.y, p.z)
+                    if coeff.x or coeff.y or coeff.z:
+                        pw, px, py, pz = _hamilton(coeff.w, coeff.x, coeff.y, coeff.z, p.w, p.x, p.y, p.z)
+                    else:
+                        c = coeff.w
+                        pw, px, py, pz = c * p.w, c * p.x, c * p.y, c * p.z
                     w, x, y, z = w + pw, x + px, y + py, z + pz
             return _result(w, x, y, z)
         except ValueError:  # a non-finite part stays so through the sums: value(n) raises too

@@ -14,7 +14,10 @@ The iteration and the relation check step raw complex components by
 iteration steps its window of the last M terms through ``sequences._stepper``,
 the primitive behind every forward-stepped sequence.  A forced relation sums
 its right side once per base index and keeps it: the iteration, ``rhs`` and
-``identity_gap`` read that one sum.
+``identity_gap`` read that one sum.  A complex-scalar coefficient (exactly zero
+vector part) scales its piece in 4 complex products, not the Hamilton
+product's 16; the two differ only in the sign of exactly-zero parts, which
+term sizes ignore and reports do not print.
 """
 from __future__ import annotations
 
@@ -33,7 +36,8 @@ class ForcingTerm:
 
     ``entry`` optionally carries the catalog closed form of g, used for
     transform-domain solves; without it the forcing transform falls back to
-    truncated series evaluation.
+    truncated series evaluation.  ``coeffs`` is a list, so it compares equal
+    to one; a relation holds its forcing terms in a tuple.
     """
 
     def __init__(self, sequence: Sequence, coeffs, entry: CatalogEntry | None = None):
@@ -45,22 +49,27 @@ class ForcingTerm:
 
 
 class LinearRecurrence:
-    """An order-M recurrence with right-side coefficients p_0..p_M."""
+    """An order-M recurrence with right-side coefficients p_0..p_M.
+
+    ``coeffs``, ``initial`` and ``forcing`` are tuples: the solution, the solve
+    radius and each right side are kept on first use, so an edit to them
+    would leave those stale.
+    """
 
     def __init__(self, coeffs, initial, forcing=()):
-        self.coeffs = [as_biquaternion(c) for c in coeffs]
+        self.coeffs = tuple(as_biquaternion(c) for c in coeffs)
         self.order = len(self.coeffs) - 1
         if self.order < 1:
             raise ValueError("a recurrence needs at least two coefficients")
         if not self.coeffs[-1].is_invertible():
             raise ZeroDivisorError("leading coefficient is a zero divisor; cannot iterate")
-        self.initial = [as_biquaternion(v) for v in initial]
+        self.initial = tuple(as_biquaternion(v) for v in initial)
         if len(self.initial) != self.order:
             raise ValueError(
                 f"order {self.order} needs exactly {self.order} initial values, "
                 f"got {len(self.initial)}"
             )
-        self.forcing = list(forcing)
+        self.forcing = tuple(forcing)
         self._solution: Sequence | None = None
         self._radius: float | None = None  # transform_value's solve radius, surveyed once
         self._sides: dict[int, tuple[tuple, float]] = {}  # n -> _side(n)
@@ -93,7 +102,7 @@ class LinearRecurrence:
         if self._solution is None:
             lead_inv = self.coeffs[-1].inverse()
             iw, ix, iy, iz = lead_inv.w, lead_inv.x, lead_inv.y, lead_inv.z
-            initial, order, negated = tuple(self.initial), self.order, [-c for c in self.coeffs]
+            initial, order, negated = self.initial, self.order, [-c for c in self.coeffs]
 
             def step(k: int, window: tuple[Biquaternion, ...]) -> tuple[Biquaternion, ...]:
                 try:
